@@ -187,8 +187,8 @@ func Decode(b Blob, baseline []float64) ([]float64, error) {
 	if baseline != nil && len(baseline) != b.Count {
 		return nil, fmt.Errorf("codec: baseline length %d != blob count %d", len(baseline), b.Count)
 	}
-	if b.Count < 0 {
-		return nil, fmt.Errorf("codec: negative parameter count %d", b.Count)
+	if b.Count < 0 || b.Count > maxCount {
+		return nil, fmt.Errorf("codec: parameter count %d out of range", b.Count)
 	}
 	n := b.Count
 	switch b.Scheme {
@@ -375,7 +375,22 @@ func deflateBytes(p []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// maxCount is the largest parameter count a blob may declare: one whose
+// eight-byte planes still have a length that fits an int.
+const maxCount = math.MaxInt / 8
+
+// maxInflateRatio bounds DEFLATE's expansion. The cheapest symbol pair — a
+// length-258 match with one-bit length and distance codes — costs two bits,
+// so p can inflate to at most 1032·len(p) bytes.
+const maxInflateRatio = 1032
+
+// inflateBytes inflates p, which must hold exactly want bytes. A want that p
+// cannot reach is rejected before the output is allocated, so a blob that
+// declares a huge count costs nothing.
 func inflateBytes(p []byte, want int) ([]byte, error) {
+	if want > maxInflateRatio*len(p) {
+		return nil, fmt.Errorf("codec: %d-byte payload cannot inflate to the declared %d bytes", len(p), want)
+	}
 	r := flate.NewReader(bytes.NewReader(p))
 	out := make([]byte, want)
 	if _, err := io.ReadFull(r, out); err != nil {

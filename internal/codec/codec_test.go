@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -383,4 +384,52 @@ func TestEmptyVector(t *testing.T) {
 			t.Fatalf("scheme %v: %d params from empty vector", scheme, len(got))
 		}
 	}
+}
+
+// TestDecodeRejectsImpossibleCountBeforeAllocating: a 3-byte delta blob that
+// declares 2²⁷ params (a 1 GiB inflate target) is rejected by DEFLATE's
+// expansion bound without allocating the target, and a count whose byte
+// length overflows an int is rejected outright, for Decode and Decode32.
+func TestDecodeRejectsImpossibleCountBeforeAllocating(t *testing.T) {
+	tiny := Blob{Scheme: SchemeDelta, Count: 1 << 27, Data: []byte{1, 2, 3}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(tiny, nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("3-byte blob declaring 2^27 params accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting the blob allocated %d bytes", grew)
+	}
+	for _, count := range []int{math.MaxInt/8 + 1, math.MaxInt/4 + 1, math.MaxInt} {
+		for _, scheme := range Schemes() {
+			if _, err := Decode(Blob{Scheme: scheme, Count: count, Data: []byte{1, 2, 3}}, nil); err == nil {
+				t.Fatalf("%v blob with count %d accepted", scheme, count)
+			}
+		}
+		if _, err := Decode32(Blob{Scheme: SchemeFloat32, Count: count, Data: []byte{1, 2, 3}}, nil); err == nil {
+			t.Fatalf("Decode32 accepted count %d", count)
+		}
+	}
+}
+
+// TestAllZeroDeltaRoundTrips: a vector encoded against itself is all zero
+// after the XOR and compresses close to DEFLATE's limit; the expansion bound
+// must still admit it.
+func TestAllZeroDeltaRoundTrips(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	v := make([]float64, 1<<20)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	blob, err := Encode(SchemeDelta, v, v, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(blob, v)
+	if err != nil {
+		t.Fatalf("%d-byte all-zero delta for %d params: %v", len(blob.Data), len(v), err)
+	}
+	bitsEqual(t, got, v, "all-zero delta")
 }

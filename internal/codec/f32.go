@@ -60,8 +60,8 @@ func Decode32(b Blob, baseline []float32) ([]float32, error) {
 	if baseline != nil && len(baseline) != b.Count {
 		return nil, fmt.Errorf("codec: baseline length %d != blob count %d", len(baseline), b.Count)
 	}
-	if b.Count < 0 {
-		return nil, fmt.Errorf("codec: negative parameter count %d", b.Count)
+	if b.Count < 0 || b.Count > maxCount {
+		return nil, fmt.Errorf("codec: parameter count %d out of range", b.Count)
 	}
 	n := b.Count
 	planes, err := inflateBytes(b.Data, 4*n)

@@ -124,7 +124,9 @@ func (b *BatchNorm1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 //
 //	dx̂ = dy·γ
 //	dx = (1/N·σ)·(N·dx̂ − Σdx̂ − x̂·Σ(dx̂·x̂))
-func (b *BatchNorm1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (b *BatchNorm1D) Backward(grad *tensor.Tensor) *tensor.Tensor { return b.backward(grad, true) }
+
+func (b *BatchNorm1D) backward(grad *tensor.Tensor, input bool) *tensor.Tensor {
 	if b.lastXHat == nil {
 		panic("nn: BatchNorm1D.Backward called before Forward(train=true)")
 	}
@@ -148,6 +150,9 @@ func (b *BatchNorm1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			sumDxhat[j] += dxh
 			sumDxhatXhat[j] += dxh * x
 		}
+	}
+	if !input {
+		return nil
 	}
 	dx := tensor.New(batch, b.features)
 	dd := dx.Data()

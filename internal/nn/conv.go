@@ -109,7 +109,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor { return c.backward(grad, true) }
+
+func (c *Conv2D) backward(grad *tensor.Tensor, input bool) *tensor.Tensor {
 	if c.lastCols == nil {
 		panic("nn: Conv2D.Backward called before Forward(train=true)")
 	}
@@ -118,11 +120,14 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	outH, outW := g.OutH(), g.OutW()
 	n := outH * outW
 	imgLen := g.InC * g.InH * g.InW
-	c.bwdOut = ensure4(c.bwdOut, batch, g.InC, g.InH, g.InW)
-	dx := c.bwdOut
 	c.dwScratch = ensure2(c.dwScratch, c.outC, g.InC*g.K*g.K)
-	c.dcolsScratch = ensure2(c.dcolsScratch, g.InC*g.K*g.K, n)
-	c.dimgScratch = ensure3(c.dimgScratch, g.InC, g.InH, g.InW)
+	var dx *tensor.Tensor
+	if input {
+		c.bwdOut = ensure4(c.bwdOut, batch, g.InC, g.InH, g.InW)
+		dx = c.bwdOut
+		c.dcolsScratch = ensure2(c.dcolsScratch, g.InC*g.K*g.K, n)
+		c.dimgScratch = ensure3(c.dimgScratch, g.InC, g.InH, g.InW)
+	}
 	bgrad := c.b.Grad.Data()
 	for i := 0; i < batch; i++ {
 		gmat := tensor.FromSlice(grad.Data()[i*c.outC*n:(i+1)*c.outC*n], c.outC, n)
@@ -137,6 +142,9 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				s += v
 			}
 			bgrad[oc] += s
+		}
+		if !input {
+			continue
 		}
 		// dX = col2im(Wᵀ·gmat)
 		tensor.MatMulTransAInto(c.dcolsScratch, c.w.Value, gmat)

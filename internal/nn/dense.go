@@ -71,7 +71,9 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor { return d.backward(grad, true) }
+
+func (d *Dense) backward(grad *tensor.Tensor, input bool) *tensor.Tensor {
 	if d.lastX == nil {
 		panic("nn: Dense.Backward called before Forward(train=true)")
 	}
@@ -88,6 +90,9 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		for j, v := range row {
 			bgrad[j] += v
 		}
+	}
+	if !input {
+		return nil
 	}
 	// dX = grad·W.
 	d.bwdOut = ensure2(d.bwdOut, batch, d.in)

@@ -64,9 +64,15 @@ func (ls *Lockstep) Step(nets []*Network, xs []*tensor.Tensor, labels [][]int, o
 		losses[d] = SoftmaxCrossEntropyInto(logits, labels[d], net.lossGrad)
 		acts[d] = net.lossGrad
 	}
-	for li := depth - 1; li >= 0; li-- {
+	stop := firstWeighted(nets[0].layers)
+	for li := depth - 1; li > stop; li-- {
 		for d := 0; d < n; d++ {
 			acts[d] = nets[d].layers[li].Backward(acts[d])
+		}
+	}
+	if stop < depth {
+		for d := 0; d < n; d++ {
+			nets[d].layers[stop].(weighted).backward(acts[d], false)
 		}
 	}
 	for d := 0; d < n; d++ {

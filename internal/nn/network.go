@@ -143,15 +143,23 @@ func (n *Network) Clone() *Network {
 }
 
 // TrainStep runs one SGD minibatch: forward, softmax cross-entropy, backward,
-// optimizer step. It returns the batch loss and the squared L2 norm of the
-// full stochastic gradient ‖g(w,ξ)‖² measured before the update, which feeds
-// the experience-updating buffers of MACH.
+// optimizer step. The backward pass stops at the first layer with parameters
+// (see firstWeighted); the parameter gradients are those of Backward. It
+// returns the batch loss and the squared L2 norm of the full stochastic
+// gradient ‖g(w,ξ)‖² measured before the update, which feeds the
+// experience-updating buffers of MACH.
 func (n *Network) TrainStep(x *tensor.Tensor, labels []int, opt Optimizer) (loss, gradSqNorm float64) {
 	n.ZeroGrad()
 	logits := n.Forward(x, true)
 	n.lossGrad = ensure2(n.lossGrad, logits.Dim(0), logits.Dim(1))
 	loss = SoftmaxCrossEntropyInto(logits, labels, n.lossGrad)
-	n.Backward(n.lossGrad)
+	grad, stop := n.lossGrad, firstWeighted(n.layers)
+	for i := len(n.layers) - 1; i > stop; i-- {
+		grad = n.layers[i].Backward(grad)
+	}
+	if stop < len(n.layers) {
+		n.layers[stop].(weighted).backward(grad, false)
+	}
 	gradSqNorm = n.GradSquaredNorm()
 	opt.Step(n.Params())
 	return loss, gradSqNorm

@@ -44,3 +44,23 @@ type Layer interface {
 	// holding the same values and no cached activations.
 	clone() Layer
 }
+
+// weighted is implemented by the layers that own parameters. backward is
+// Backward with the input gradient made optional: with input false it only
+// accumulates the parameter gradients and returns nil.
+type weighted interface {
+	backward(grad *tensor.Tensor, input bool) *tensor.Tensor
+}
+
+// firstWeighted returns the index of the first layer with parameters, or
+// len(layers) when there is none. A training backward pass stops there: that
+// layer accumulates its parameter gradients, but nothing reads the input
+// gradient it and the layers below it would compute, so it is skipped.
+func firstWeighted(layers []Layer) int {
+	for i, l := range layers {
+		if _, ok := l.(weighted); ok {
+			return i
+		}
+	}
+	return len(layers)
+}

@@ -13,15 +13,15 @@ import "fmt"
 //     carves per-device views out of them; a shape-carrying wrapper per view
 //     would put allocation back on the hot path.
 //
-//   - They are register-tiled rather than singly-accumulated. The serial
-//     f64 kernels are bound by one add-latency chain and by 2–3 memory
-//     operations per multiply-add; the lane-32 kernels unroll the reduction
-//     dimension four ways (and MatMulTransB32Into additionally tiles four
-//     output columns) so each load feeds several independent partial sums.
-//     Every split has a fixed shape and combination order, so the f32 lane
-//     is deterministic — just not term-for-term identical to the f64
-//     reduction order, which is fine because the lanes never mix inside a
-//     forward/backward pass.
+//   - They split sums into partial sums. The f64 kernels are register-tiled
+//     too, but only in ways that keep each element's single ascending-p
+//     accumulation chain (several elements' chains run side by side); the
+//     lane-32 kernels also unroll the reduction dimension four ways (and
+//     MatMulTransB32Into tiles four output columns) into independent
+//     partial sums of one element. Every split has a fixed shape and
+//     combination order, so the f32 lane is deterministic — just not
+//     term-for-term identical to the f64 reduction order, which is fine
+//     because the lanes never mix inside a forward/backward pass.
 //
 // All lane-32 kernels are serial: per-device products are far below the
 // row-parallel threshold, and the worker pool above already provides the

@@ -74,6 +74,8 @@ func matMulDispatch(dst, a, b []float64, m, k, n int) {
 }
 
 // matMulBlocked accumulates dst rows [i0, i1) of a·b with i/k blocking.
+//
+//machlint:allocfree
 func matMulBlocked(dst, a, b []float64, i0, i1, k, n int) {
 	for ib := i0; ib < i1; ib += mmBlockI {
 		ie := ib + mmBlockI
@@ -86,20 +88,55 @@ func matMulBlocked(dst, a, b []float64, i0, i1, k, n int) {
 				pe = k
 			}
 			for i := ib; i < ie; i++ {
-				arow := a[i*k : (i+1)*k]
-				drow := dst[i*n : (i+1)*n]
-				for p := pb; p < pe; p++ {
-					av := arow[p]
-					//machlint:allow floateq sparsity fast path: exact zero rows multiply to exactly zero, skipping them is bit-identical
-					if av == 0 {
-						continue
-					}
-					brow := b[p*n : (p+1)*n]
-					for j, bv := range brow {
-						drow[j] += av * bv
-					}
+				accumRow(dst[i*n:(i+1)*n], a[i*k:(i+1)*k], 1, b, pb, pe)
+			}
+		}
+	}
+}
+
+// accumRow adds a[p·as]·b[p·n : (p+1)·n] into drow (n = len(drow)) for every
+// p in [p, pe) whose a-value is not exactly zero, in ascending p. It gathers
+// four such terms and folds them into one register-held partial sum per
+// element, so each dst element is loaded and stored once per four
+// multiply-adds instead of once per multiply-add. Each element still adds
+// exactly the terms of the reference i-k-j kernel, one at a time in the same
+// order, so the result is bit-identical to it.
+//
+//machlint:allocfree
+func accumRow(drow, a []float64, as int, b []float64, p, pe int) {
+	n := len(drow)
+	for {
+		var v [4]float64
+		var q [4]int
+		c := 0
+		for ; p < pe && c < 4; p++ {
+			//machlint:allow floateq sparsity fast path: exact zero rows multiply to exactly zero, skipping them is bit-identical
+			if av := a[p*as]; av != 0 {
+				v[c], q[c] = av, p
+				c++
+			}
+		}
+		if c < 4 {
+			for t := 0; t < c; t++ {
+				av, brow := v[t], b[q[t]*n:][:n]
+				for j, bv := range brow {
+					drow[j] += av * bv
 				}
 			}
+			return
+		}
+		v0, v1, v2, v3 := v[0], v[1], v[2], v[3]
+		b0 := b[q[0]*n:][:n]
+		b1 := b[q[1]*n:][:n]
+		b2 := b[q[2]*n:][:n]
+		b3 := b[q[3]*n:][:n]
+		for j := range drow {
+			d := drow[j]
+			d += v0 * b0[j]
+			d += v1 * b1[j]
+			d += v2 * b2[j]
+			d += v3 * b3[j]
+			drow[j] = d
 		}
 	}
 }
@@ -137,26 +174,17 @@ func transAShape(a, b *Tensor) (k, m, n int) {
 	return k, m, b.shape[1]
 }
 
-// matMulTransAInto accumulates dst += aᵀ·b with the p-i-j loop order of the
-// reference kernel. Row-parallelism would split the p loop, which *is* the
-// accumulation order, so the transposed-A form stays serial; it is only used
-// on small backward-pass weight gradients.
+// matMulTransAInto accumulates dst += aᵀ·b. Row i of dst gathers column i
+// of a (stride m) against the rows of b, in ascending p with exact zeros
+// skipped, so every element adds the same terms in the same order as the
+// p-i-j reference kernel. The form stays serial; it is only used on small
+// backward-pass products.
 //
 //machlint:noalias dst,a dst,b
+//machlint:allocfree
 func matMulTransAInto(dst, a, b []float64, k, m, n int) {
-	for p := 0; p < k; p++ {
-		arow := a[p*m : (p+1)*m]
-		brow := b[p*n : (p+1)*n]
-		for i, av := range arow {
-			//machlint:allow floateq sparsity fast path: exact zero rows multiply to exactly zero, skipping them is bit-identical
-			if av == 0 {
-				continue
-			}
-			drow := dst[i*n : (i+1)*n]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
+	for i := 0; i < m; i++ {
+		accumRow(dst[i*n:(i+1)*n], a[i:], m, b, 0, k)
 	}
 }
 
@@ -205,21 +233,64 @@ func matMulTransBDispatch(dst, a, b []float64, m, k, n int) {
 
 // matMulTransBRows writes dst rows [i0, i1) of a·bᵀ. Every element is an
 // independent dot product accumulated in ascending p, so row partitioning
-// and j-blocking cannot change results. Each element is written exactly
-// once, so dst needs no zeroing.
+// and tiling cannot change results. Pairs of rows are computed against four
+// b rows at a time: eight independent accumulation chains, each fed by loads
+// shared with three others. Leftover rows and columns take the single-chain
+// dot product. Each element is written exactly once, so dst needs no
+// zeroing.
+//
+//machlint:allocfree
 func matMulTransBRows(dst, a, b []float64, i0, i1, k, n int) {
-	for i := i0; i < i1; i++ {
-		arow := a[i*k : (i+1)*k]
-		drow := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			s := 0.0
-			for p, av := range arow {
-				s += av * brow[p]
+	i := i0
+	for ; i+2 <= i1; i += 2 {
+		a0 := a[i*k : (i+1)*k]
+		a1 := a[(i+1)*k : (i+2)*k]
+		d0 := dst[i*n : (i+1)*n]
+		d1 := dst[(i+1)*n : (i+2)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b[j*k : (j+1)*k]
+			b1 := b[(j+1)*k : (j+2)*k]
+			b2 := b[(j+2)*k : (j+3)*k]
+			b3 := b[(j+3)*k : (j+4)*k]
+			var s00, s01, s02, s03, s10, s11, s12, s13 float64
+			for p, x0 := range a0 {
+				x1 := a1[p]
+				y0, y1, y2, y3 := b0[p], b1[p], b2[p], b3[p]
+				s00 += x0 * y0
+				s01 += x0 * y1
+				s02 += x0 * y2
+				s03 += x0 * y3
+				s10 += x1 * y0
+				s11 += x1 * y1
+				s12 += x1 * y2
+				s13 += x1 * y3
 			}
-			drow[j] = s
+			d0[j], d0[j+1], d0[j+2], d0[j+3] = s00, s01, s02, s03
+			d1[j], d1[j+1], d1[j+2], d1[j+3] = s10, s11, s12, s13
+		}
+		for ; j < n; j++ {
+			brow := b[j*k : (j+1)*k]
+			d0[j] = dot(a0, brow)
+			d1[j] = dot(a1, brow)
 		}
 	}
+	for ; i < i1; i++ {
+		arow := a[i*k : (i+1)*k]
+		drow := dst[i*n : (i+1)*n]
+		for j := range drow {
+			drow[j] = dot(arow, b[j*k:(j+1)*k])
+		}
+	}
+}
+
+// dot returns Σ_p a[p]·b[p] accumulated in one chain in ascending p.
+func dot(a, b []float64) float64 {
+	s := 0.0
+	for p, av := range a {
+		s += av * b[p]
+	}
+	return s
 }
 
 // shouldRowParallel reports whether a product of m output rows and the given
