@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // ErrUnknownBaseline reports that a blob references a baseline vector the
@@ -360,12 +361,27 @@ func xorShuffle32(params, baseline []float64) []byte {
 	return out
 }
 
+// DEFLATE state is pooled: a BestCompression writer allocates and zeroes
+// close to a megabyte, and a reader tens of kilobytes. flate documents a
+// Reset writer or reader as equivalent to a freshly built one, so pooled
+// blobs are byte-identical to unpooled ones.
+var (
+	deflaters sync.Pool // *flate.Writer at BestCompression
+	inflaters sync.Pool // io.ReadCloser from flate.NewReader, a flate.Resetter
+)
+
 func deflateBytes(p []byte) ([]byte, error) {
 	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestCompression)
-	if err != nil {
-		return nil, fmt.Errorf("codec: deflate init: %w", err)
+	w, _ := deflaters.Get().(*flate.Writer)
+	if w == nil {
+		var err error
+		if w, err = flate.NewWriter(&buf, flate.BestCompression); err != nil {
+			return nil, fmt.Errorf("codec: deflate init: %w", err)
+		}
+	} else {
+		w.Reset(&buf)
 	}
+	defer deflaters.Put(w)
 	if _, err := w.Write(p); err != nil {
 		return nil, fmt.Errorf("codec: deflate: %w", err)
 	}
@@ -391,7 +407,14 @@ func inflateBytes(p []byte, want int) ([]byte, error) {
 	if want > maxInflateRatio*len(p) {
 		return nil, fmt.Errorf("codec: %d-byte payload cannot inflate to the declared %d bytes", len(p), want)
 	}
-	r := flate.NewReader(bytes.NewReader(p))
+	src := bytes.NewReader(p)
+	r, _ := inflaters.Get().(io.ReadCloser)
+	if r == nil {
+		r = flate.NewReader(src)
+	} else if err := r.(flate.Resetter).Reset(src, nil); err != nil {
+		return nil, fmt.Errorf("codec: inflate reset: %w", err)
+	}
+	defer inflaters.Put(r)
 	out := make([]byte, want)
 	if _, err := io.ReadFull(r, out); err != nil {
 		return nil, fmt.Errorf("codec: inflate %d bytes: %w", want, err)

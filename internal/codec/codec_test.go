@@ -1,10 +1,15 @@
 package codec
 
 import (
+	"bytes"
+	"compress/flate"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -432,4 +437,111 @@ func TestAllZeroDeltaRoundTrips(t *testing.T) {
 		t.Fatalf("%d-byte all-zero delta for %d params: %v", len(blob.Data), len(v), err)
 	}
 	bitsEqual(t, got, v, "all-zero delta")
+}
+
+// freshDeflate is the unpooled reference for deflateBytes: a new
+// BestCompression writer per call, as the codec built before pooling.
+func freshDeflate(t *testing.T, p []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := flate.NewWriter(&buf, flate.BestCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkBlobMatchesFresh re-deflates a blob's inflated payload with a fresh
+// writer and demands the blob's bytes exactly, then round-trips it.
+func checkBlobMatchesFresh(t *testing.T, label string, b Blob, baseline []float64) {
+	t.Helper()
+	if b.Scheme != SchemeRaw {
+		raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(b.Data)))
+		if err != nil {
+			t.Fatalf("%s: inflate: %v", label, err)
+		}
+		if !bytes.Equal(b.Data, freshDeflate(t, raw)) {
+			t.Fatalf("%s: pooled deflate output differs from a fresh writer's", label)
+		}
+	}
+	if _, err := Decode(b, baseline); err != nil {
+		t.Fatalf("%s: decode: %v", label, err)
+	}
+}
+
+// TestPooledDeflateMatchesFreshWriter pins the DEFLATE pools: every scheme,
+// with and without a baseline, at sizes from empty to a million parameters,
+// encodes to exactly the bytes a fresh writer produces — after the pool has
+// been warmed by a different vector, and under concurrent encodes (run with
+// -race by scripts/check.sh).
+func TestPooledDeflateMatchesFreshWriter(t *testing.T) {
+	// Lossless schemes get raw bit patterns, as in
+	// TestLosslessRoundtripBitExact; the lossy ones need finite values.
+	vec := func(scheme Scheme, seed int64, n int) []float64 {
+		rng := rand.New(rand.NewSource(seed))
+		v := make([]float64, n)
+		for i := range v {
+			if scheme.Lossless() {
+				v[i] = math.Float64frombits(rng.Uint64())
+			} else {
+				v[i] = 2*rng.Float64() - 1
+			}
+		}
+		return v
+	}
+	sizes := []int{0, 1, 2410, 1 << 20}
+	if testing.Short() {
+		sizes = sizes[:3]
+	}
+	for _, n := range sizes {
+		for _, scheme := range Schemes() {
+			base, warm, params := vec(scheme, 1, n), vec(scheme, 2, n), vec(scheme, 3, n)
+			for _, withBase := range []bool{false, true} {
+				var bl []float64
+				var id uint64
+				if withBase && scheme != SchemeRaw {
+					bl, id = base, 7
+				}
+				label := fmt.Sprintf("%v/n=%d/baseline=%v", scheme, n, bl != nil)
+				if _, err := Encode(scheme, warm, bl, id, nil); err != nil {
+					t.Fatal(err)
+				}
+				b, err := Encode(scheme, params, bl, id, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkBlobMatchesFresh(t, label, b, bl)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, scheme := range Schemes() {
+				var base []float64
+				var id uint64
+				if scheme != SchemeRaw {
+					base, id = vec(scheme, int64(10+g), 2410), 1
+				}
+				params := vec(scheme, int64(100+10*g+i), 2410)
+				for rep := 0; rep < 3; rep++ {
+					b, err := Encode(scheme, params, base, id, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					checkBlobMatchesFresh(t, fmt.Sprintf("goroutine %d/%v", g, scheme), b, base)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -382,7 +382,7 @@ func (c *Cloud) decodeEdgeModel(blob codec.Blob) ([]float64, error) {
 		}
 		baseline = c.prevView
 	}
-	return codec.Decode(blob, baseline)
+	return decodeCount(blob, baseline, len(c.global))
 }
 
 // advanceMobility positions the cloud's mobility window at step t: it

@@ -25,6 +25,9 @@ type DeviceServer struct {
 	book    *sampling.ExperienceBook
 	arch    hfl.ArchFunc
 	seed    int64
+	// nParams is the hosted models' parameter count, the length of every
+	// base an edge may install.
+	nParams int
 
 	// edgeBases caches, per edge, the base models installed by SetBase or
 	// advanced in place by TrainMany (DESIGN.md §6). At most a couple of
@@ -82,6 +85,7 @@ func NewDeviceServer(arch hfl.ArchFunc, data map[int]*dataset.Dataset, machCfg s
 		if err != nil {
 			return nil, fmt.Errorf("fed: build model for device %d: %w", id, err)
 		}
+		ds.nParams = model.NumParams()
 		ds.devices[id] = &hostedDevice{
 			data:  d,
 			model: model,
@@ -225,7 +229,7 @@ func (s *DeviceServer) SetBase(args SetBaseArgs, reply *SetBaseReply) error {
 	s.tel.Add(telemetry.CounterRPCCalls, 1)
 	sp := s.tel.StartSpan(telemetry.SpanHandleSetBase, telemetry.SpanID(args.Span.Parent), -1, args.Edge, -1)
 	defer sp.End()
-	params, err := codec.Decode(args.Model, nil)
+	params, err := decodeCount(args.Model, nil, s.nParams)
 	if err != nil {
 		return fmt.Errorf("fed: set base for edge %d: %w", args.Edge, err)
 	}

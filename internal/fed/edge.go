@@ -350,7 +350,7 @@ func (e *EdgeServer) ensureParams(step int) error {
 		e.mu.Unlock()
 		return nil
 	}
-	addr, id := e.staleAddr, e.baseID
+	addr, id, want := e.staleAddr, e.baseID, len(e.params)
 	e.mu.Unlock()
 	c, err := e.client(addr)
 	if err != nil {
@@ -365,7 +365,7 @@ func (e *EdgeServer) ensureParams(step int) error {
 	if callErr != nil {
 		return fmt.Errorf("fed: edge %d fetch base %d from %s: %w", e.id, id, addr, callErr)
 	}
-	params, err := codec.Decode(rep.Model, nil)
+	params, err := decodeCount(rep.Model, nil, want)
 	if err != nil {
 		return fmt.Errorf("fed: edge %d decode base %d: %w", e.id, id, err)
 	}
@@ -631,13 +631,9 @@ func (e *EdgeServer) trainCodec(args EdgeStepArgs, totalSampled int, sampledAddr
 		if !replies[i].HasSum {
 			return fmt.Errorf("fed: edge %d: host %s returned no update sum", e.id, addr)
 		}
-		hostSum, err := codec.Decode(replies[i].Sum, nil)
+		hostSum, err := decodeCount(replies[i].Sum, nil, len(base))
 		if err != nil {
 			return fmt.Errorf("fed: edge %d decode sum from %s: %w", e.id, addr, err)
-		}
-		if len(hostSum) != len(base) {
-			return fmt.Errorf("fed: edge %d: host %s summed %d params, want %d",
-				e.id, addr, len(hostSum), len(base))
 		}
 		e.uploads.Add(1)
 		for j, v := range hostSum {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"net/rpc"
+	"runtime"
 	"testing"
 
 	"github.com/mach-fl/mach/internal/codec"
@@ -673,5 +674,60 @@ func TestSpanStitchingAcrossRPC(t *testing.T) {
 		if want := uint64(telemetry.DeriveSpanID(telemetry.SpanRPCTrainMany, s.Step, s.Edge, 0)); s.Parent != want {
 			t.Fatalf("handle_train_many step %d edge %d: parent %#x, want edge rpc span %#x", s.Step, s.Edge, s.Parent, want)
 		}
+	}
+}
+
+// TestDecodesBoundedByExpectedCount: every receiver that knows the parameter
+// count rejects a blob declaring another one before decoding it. The blob
+// here is a genuine DEFLATE stream of 2²¹ zero params (16 MiB), so codec's
+// own expansion bound admits it; only the count check stops the allocation.
+func TestDecodesBoundedByExpectedCount(t *testing.T) {
+	const declared = 1 << 21
+	big, err := codec.Encode(codec.SchemeDelta, make([]float64, declared), nil, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := dataset.NewTask(dataset.MNISTLike(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := task.Generate(rand.New(rand.NewSource(1)), 20, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewDeviceServer(testArch, map[int]*dataset.Dataset{0: data}, sampling.DefaultMACHConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := deploy(t, 8, 2, 5, 1, codec.SchemeDelta)
+	defer d.close()
+	want := len(d.cloud.GlobalParams())
+	receivers := map[string]func() error{
+		"DeviceServer.SetBase": func() error {
+			return srv.SetBase(SetBaseArgs{Edge: 0, ID: 1, Model: big}, &SetBaseReply{})
+		},
+		"Cloud edge reply": func() error {
+			_, err := d.cloud.decodeEdgeModel(big)
+			return err
+		},
+		"edge host sum / GetBase reply": func() error {
+			_, err := decodeCount(big, nil, want)
+			return err
+		},
+	}
+	for name, call := range receivers {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := call()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s accepted a blob declaring %d params, want %d", name, declared, want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8*declared/16 {
+			t.Fatalf("%s allocated %d bytes rejecting a %d-byte declared vector", name, grew, 8*declared)
+		}
+	}
+	if _, err := decodeCount(big, nil, declared); err != nil {
+		t.Fatalf("blob with the expected count rejected: %v", err)
 	}
 }

@@ -289,32 +289,17 @@ func (c Config) aggregation() Aggregation {
 	return c.Aggregation
 }
 
-// device is one mobile device: its local data and a reusable model instance.
-// The scratch buffers at the bottom make steady-state local updates
-// allocation-free; they are safe because a device belongs to exactly one
-// edge per step (the schedule's partition property), so at most one worker
-// touches a device at a time.
+// device is one mobile device. Between steps it keeps only what Algorithm 1
+// carries across them: its local data and its minibatch sampling stream
+// (plus the cached label distribution). Every local update starts from the
+// edge model (Eq. 4), so the network, optimizer and batch buffers it trains
+// with are a worker's scratch (trainScratch), and its results land in its
+// slot of the edge plan.
 type device struct {
-	id    int
-	data  *dataset.Dataset
-	model *nn.Network
-	opt   *nn.SGD
-	rng   *rand.Rand
-	dist  []float64 // cached local label distribution
-
-	sqNorms  []float64      // per-step gradient-norm window (observers copy)
-	batchX   *tensor.Tensor // minibatch pixels [BatchSize, InC, InH, InW]
-	batchY   []int          // minibatch labels
-	batchIdx []int          // minibatch index scratch
-	upload   []float64      // flat parameter upload, consumed by aggregation
-
-	// Float32-lane state (Config.Lane == LaneF32, unfused): a lazily built
-	// single-slot executor plus fixed-size per-call scratch, so the f32
-	// steady state allocates nothing, matching the f64 guarantee.
-	lane      *nn.Lane32
-	laneLbls  [1][]int
-	laneLoss  [1]float64
-	laneNorms [1]float64
+	id   int
+	data *dataset.Dataset
+	rng  *rand.Rand
+	dist []float64 // cached local label distribution
 }
 
 // Engine runs Algorithm 1.
@@ -361,10 +346,10 @@ type Engine struct {
 	global   []float64   // cloud model parameters w^t
 	edge     [][]float64 // edge model parameters w^t_n
 	evalNet  *nn.Network
-	probeNet *nn.Network
-	probeOpt *nn.SGD    // zero-step optimizer: probing measures gradients only
-	probeMu  sync.Mutex // probeNet/probeOpt are shared across deciding edges
-	capacity float64    // K_n, identical across edges as in the paper
+	capacity float64 // K_n, identical across edges as in the paper
+	// lr is the device learning rate γ. Every device decays by the same
+	// factor at the same cloud rounds, so one engine-wide rate serves all.
+	lr float64
 
 	// Sharded control plane (DESIGN.md §11): shards[s] owns a contiguous
 	// edge range with its slice of the member index; edgeShard maps each
@@ -399,9 +384,10 @@ type Engine struct {
 	evalIdx     []int             // evaluation sample indices
 	evalShard   []evalShardState
 
-	// fused holds the per-edge fusion state when Config.FuseBatch is set;
-	// fused[n] is private to edge n's execution task within a step.
-	fused []fusedEdgeState
+	// scratchFree is the free list of worker training scratches: a local
+	// update borrows one for its duration, so at most Workers exist.
+	scratchMu   sync.Mutex
+	scratchFree []*trainScratch
 }
 
 // edgeDecideState is one edge's pooled decision-phase machinery: a reusable
@@ -473,6 +459,13 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 	if err != nil {
 		return nil, fmt.Errorf("hfl: build architecture: %w", err)
 	}
+	for _, l := range base.Layers() {
+		// Devices train on shared worker networks, so a layer whose
+		// training state outlives a step would tie results to scheduling.
+		if _, ok := l.(*nn.Dropout); ok {
+			return nil, fmt.Errorf("hfl: layer %q: dropout keeps an RNG across steps and is not supported", l.Name())
+		}
+	}
 	if cfg.Lane == LaneF32 {
 		// Fail at construction, not mid-run, when the architecture holds a
 		// layer the float32 lane cannot execute.
@@ -494,9 +487,8 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 		test:     test,
 		global:   base.ParamVector(),
 		evalNet:  base,
-		probeNet: base.Clone(),
-		probeOpt: nn.NewSGD(0),
 		capacity: cfg.Participation * float64(nDevices) / float64(nEdges),
+		lr:       cfg.LearningRate,
 	}
 	if obs, ok := strategy.(sampling.Observer); ok {
 		e.observer = obs
@@ -520,13 +512,15 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 		if data == nil || data.Len() == 0 {
 			return nil, fmt.Errorf("hfl: device %d has no data", m)
 		}
+		if data.InC != test.InC || data.InH != test.InH || data.InW != test.InW {
+			return nil, fmt.Errorf("hfl: device %d samples are %d×%d×%d, the test set's %d×%d×%d",
+				m, data.InC, data.InH, data.InW, test.InC, test.InH, test.InW)
+		}
 		e.devices[m] = &device{
-			id:    m,
-			data:  data,
-			model: base.Clone(),
-			opt:   nn.NewSGD(cfg.LearningRate),
-			rng:   rand.New(rand.NewSource(mix(cfg.Seed, 0x9E3779B9, int64(m)))),
-			dist:  data.ClassDistribution(),
+			id:   m,
+			data: data,
+			rng:  rand.New(rand.NewSource(mix(cfg.Seed, 0x9E3779B9, int64(m)))),
+			dist: data.ClassDistribution(),
 		}
 	}
 	e.edge = make([][]float64, nEdges)
@@ -536,9 +530,6 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 	e.plans = make([]edgePlan, nEdges)
 	e.decide = make([]edgeDecideState, nEdges)
 	e.aggNext = make([][]float64, nEdges)
-	if cfg.FuseBatch {
-		e.fused = make([]fusedEdgeState, nEdges)
-	}
 	e.groups = cloudGroups(nEdges)
 	e.groupCounts = make([]int, e.groups)
 	e.cloudCounts = make([]int, nEdges)

@@ -92,12 +92,14 @@ type localResult struct {
 }
 
 // plannedDevice is one sampled device's decision-phase outcome, later filled
-// in with its execution-phase result.
+// in with its execution-phase result. The slot's params and sqNorms buffers
+// outlive the step: the edge's next decide reuses the slot with them.
 type plannedDevice struct {
-	m       int     // device id
-	weight  float64 // 1/(|M_n|·q) for unbiased strategies, 1 for biased
-	upload  bool    // false when the upload-failure coin dropped the result
-	sqNorms []float64
+	m       int       // device id
+	weight  float64   // 1/(|M_n|·q) for unbiased strategies, 1 for biased
+	upload  bool      // false when the upload-failure coin dropped the result
+	params  []float64 // trained parameters, written only when upload is set
+	sqNorms []float64 // gradient-norm window of the I local steps
 	err     error
 }
 
@@ -223,9 +225,7 @@ func (e *Engine) Run(opts ...RunOption) (*Result, error) {
 				e.observer.CloudRound(t + 1)
 			}
 			if e.cfg.LRDecay < 1 {
-				for _, d := range e.devices {
-					d.opt.SetLearningRate(d.opt.LearningRate() * e.cfg.LRDecay)
-				}
+				e.lr *= e.cfg.LRDecay
 			}
 			if e.tel != nil {
 				e.tel.Add(telemetry.CounterCloudRounds, 1)
@@ -471,7 +471,15 @@ func (e *Engine) edgeDecide(t, n int) error {
 		if unbiased {
 			weight = 1 / (float64(len(members)) * q) // Eq. (5)
 		}
-		plan.devs = append(plan.devs, plannedDevice{m: m, weight: weight, upload: upload})
+		// Extend the plan by one slot, keeping the buffers it held last step.
+		k := len(plan.devs)
+		if k < cap(plan.devs) {
+			plan.devs = plan.devs[:k+1]
+		} else {
+			plan.devs = append(plan.devs, plannedDevice{})
+		}
+		pd := &plan.devs[k]
+		pd.m, pd.weight, pd.upload, pd.err = m, weight, upload, nil
 	}
 	return nil
 }
@@ -480,9 +488,9 @@ func (e *Engine) edgeDecide(t, n int) error {
 // local-update errors, buffers training experience into the owning shard
 // (merged into the strategy's observer at the step's collect point, in edge
 // order), collects the surviving uploads and merges them into the edge model
-// (Algorithm 1, lines 6-11). The buffered sqNorms slices are the devices'
-// reusable windows, valid until each device's next training step — which is
-// after the merge.
+// (Algorithm 1, lines 6-11). The buffered sqNorms slices and the uploaded
+// params are the plan slots' buffers, valid until the edge's next execution
+// phase — which is after the merge.
 func (e *Engine) edgeFinalize(t, n int, s *shardState) (edgeStepCounts, error) {
 	var counts edgeStepCounts
 	plan := &e.plans[n]
@@ -501,39 +509,12 @@ func (e *Engine) edgeFinalize(t, n int, s *shardState) (edgeStepCounts, error) {
 		if !pd.upload {
 			continue
 		}
-		dev := e.devices[pd.m]
-		if e.cfg.Lane != LaneF32 {
-			dev.upload = dev.model.ParamVectorInto(dev.upload)
-		}
-		// LaneF32: the execution phase already staged the float64 master
-		// weights in dev.upload (see lane.go); dev.model was never trained.
-		results = append(results, localResult{params: dev.upload, weight: pd.weight, size: dev.data.Len()})
+		results = append(results, localResult{params: pd.params, weight: pd.weight, size: e.devices[pd.m].data.Len()})
 	}
 	e.aggregateEdge(n, results, e.strategy.Unbiased())
 	counts.uploaded = len(results)
 	s.aggResults = results[:0] // keep the grown capacity for the shard's next edge
 	return counts, nil
-}
-
-// localUpdate runs I local SGD steps from the edge model (Eq. 4) and returns
-// the squared norms of the I stochastic gradients. The returned slice is the
-// device's reusable window buffer: observers copy what they keep, and the
-// next step overwrites it. With Config.Lane == LaneF32 the same steps run on
-// the device's float32 lane (see lane.go).
-func (e *Engine) localUpdate(dev *device, edgeParams []float64) ([]float64, error) {
-	if e.cfg.Lane == LaneF32 {
-		return e.localUpdate32(dev, edgeParams)
-	}
-	if err := dev.model.SetParamVector(edgeParams); err != nil {
-		return nil, err
-	}
-	e.ensureDeviceBatch(dev)
-	for tau := 0; tau < e.cfg.LocalEpochs; tau++ {
-		dev.data.RandomBatchInto(dev.rng, dev.batchX, dev.batchY, dev.batchIdx)
-		_, gn := dev.model.TrainStep(dev.batchX, dev.batchY, dev.opt)
-		dev.sqNorms[tau] = gn
-	}
-	return dev.sqNorms, nil
 }
 
 // aggregateEdge merges sampled local models into the edge model. For
@@ -669,23 +650,27 @@ func (e *Engine) cloudAggregate(t int) {
 
 // probeGradNorm measures the true squared stochastic-gradient norm of device
 // m under edge n's current model, without updating any state (used by
-// MACH-P). The shared probe network is mutex-guarded because edges decide in
-// parallel; the value is deterministic regardless of interleaving — the
-// probed model, batch and optimizer depend only on (seed, t, n, m), and a
-// device is attached to exactly one edge per step.
+// MACH-P). It runs on the probe scratch of the shard that owns edge n: a
+// shard decides its edges serially, so the scratch needs no lock, and the
+// value is deterministic regardless of how shards interleave — the probed
+// model, batch and optimizer depend only on (seed, t, n, m), and a device is
+// attached to exactly one edge per step. The scratch RNG is reseeded to the
+// stream a fresh rand.New(rand.NewSource(mix(seed, t+7, m+301))) would
+// start, as edgeDecide does for its coins.
+//
+//machlint:allocfree
 func (e *Engine) probeGradNorm(t, n, m int) float64 {
 	e.tel.Add(telemetry.CounterProbes, 1)
-	e.probeMu.Lock()
-	defer e.probeMu.Unlock()
-	if err := e.probeNet.SetParamVector(e.edge[n]); err != nil {
+	p := e.shards[e.edgeShard[n]].probeScratch()
+	if err := p.net.SetParamVector(e.edge[n]); err != nil {
 		// The strategy callback has no error channel, and a length mismatch
 		// here means the engine's networks are wired wrong — fail loudly
 		// instead of silently scoring the device as zero.
 		panic(fmt.Sprintf("hfl: probe gradient of device %d (step %d, edge %d): %v", m, t, n, err))
 	}
-	rng := rand.New(rand.NewSource(mix(e.cfg.Seed, int64(t)+7, int64(m)+301)))
-	x, y := e.devices[m].data.RandomBatch(rng, e.cfg.BatchSize)
-	_, gn := e.probeNet.TrainStep(x, y, e.probeOpt)
+	p.rng.Seed(mix(e.cfg.Seed, int64(t)+7, int64(m)+301))
+	e.devices[m].data.RandomBatchInto(p.rng, p.x, p.y, p.idx)
+	_, gn := p.net.TrainStep(p.x, p.y, p.opt)
 	return gn
 }
 

@@ -2,9 +2,12 @@ package hfl
 
 import (
 	"fmt"
+	"math/rand"
 
 	"github.com/mach-fl/mach/internal/mobility"
+	"github.com/mach-fl/mach/internal/nn"
 	"github.com/mach-fl/mach/internal/telemetry"
+	"github.com/mach-fl/mach/internal/tensor"
 )
 
 // This file holds the sharded control plane (DESIGN.md §11): the engine's
@@ -106,8 +109,8 @@ type shardState struct {
 
 	// Observation buffer: the step's (edge, device, norms) records in edge
 	// then member order, merged into the strategy's observer at the collect
-	// point. The norms slices are the devices' reusable windows — valid
-	// until each device's next training step, which is after the merge.
+	// point. The norms slices are the edge plans' per-device windows —
+	// valid until the edges' next execution phase, which is after the merge.
 	obsEdges []int
 	obsDevs  []int
 	obsNorms [][]float64
@@ -119,6 +122,10 @@ type shardState struct {
 
 	// partials[g-gLo] is group g's cloud-reduce partial sum.
 	partials [][]float64
+
+	// probe is the shard's MACH-P probe scratch, built on first use. The
+	// shard decides its edges serially, so it needs no lock.
+	probe *probeState
 
 	// Phase telemetry, observed by the engine at the collect point.
 	decideNS, trainNS, finalNS int64
@@ -147,6 +154,34 @@ func newShardState(e *Engine, id, shards int) *shardState {
 		s.partials[g] = make([]float64, len(e.global))
 	}
 	return s
+}
+
+// probeState is one shard's gradient-probe machinery: a network, a
+// zero-step optimizer (probing measures gradients only), an RNG reseeded per
+// probe, and the minibatch buffers.
+type probeState struct {
+	net *nn.Network
+	opt *nn.SGD
+	rng *rand.Rand
+	x   *tensor.Tensor
+	y   []int
+	idx []int
+}
+
+// probeScratch returns the shard's probe scratch, building it on first use.
+func (s *shardState) probeScratch() *probeState {
+	if s.probe == nil {
+		e, b, d := s.e, s.e.cfg.BatchSize, s.e.test
+		s.probe = &probeState{
+			net: e.evalNet.Clone(),
+			opt: nn.NewSGD(0),
+			rng: rand.New(rand.NewSource(e.cfg.Seed)), // reseeded per probe
+			x:   tensor.New(b, d.InC, d.InH, d.InW),
+			y:   make([]int, b),
+			idx: make([]int, b),
+		}
+	}
+	return s.probe
 }
 
 // startActors spins up one goroutine per shard. Run calls it after the pool
@@ -257,21 +292,18 @@ func (s *shardState) step(t int) {
 	if s.decideErr != nil {
 		return // the engine aborts the run; skip execution like the monolith
 	}
+	// One pool task per sampled device, or per edge plan when fused.
 	g := e.pool.Group()
-	if e.cfg.FuseBatch {
-		for n := s.lo; n < s.hi; n++ {
-			g.Go(func() { e.edgeLocalUpdates(n) })
-		}
-	} else {
-		for n := s.lo; n < s.hi; n++ {
-			edgeParams := e.edge[n]
-			devs := e.plans[n].devs
-			for i := range devs {
-				pd := &devs[i]
-				g.Go(func() {
-					pd.sqNorms, pd.err = e.localUpdate(e.devices[pd.m], edgeParams)
-				})
+	for n := s.lo; n < s.hi; n++ {
+		edgeParams, devs := e.edge[n], e.plans[n].devs
+		if e.cfg.FuseBatch {
+			if len(devs) > 0 {
+				g.Go(func() { e.trainDevices(devs, edgeParams) })
 			}
+			continue
+		}
+		for i := range devs {
+			g.Go(func() { e.trainDevices(devs[i:i+1], edgeParams) })
 		}
 	}
 	s.queueDepth = e.pool.QueueDepth()

@@ -30,7 +30,7 @@ echo "== go test -race ./..."
 go test -race ./...
 
 echo "== go test -race -short (parallel engine determinism)"
-go test -race -short -run 'TestRunBitIdenticalAcrossWorkerCounts' ./internal/hfl
+go test -race -short -run 'TestRunBitIdenticalAcrossWorkerCounts|TestFinalParamsGolden' ./internal/hfl
 
 echo "== go test -race -short (fed wire protocol + codec)"
 go test -race -short ./internal/fed/ ./internal/codec/
