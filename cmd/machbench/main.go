@@ -78,9 +78,9 @@ func main() {
 
 func run() error {
 	var (
-		exp   = flag.String("exp", "fig3", "experiment: fig3 | fig4 | fig5 | table1 | ablations | engine | comm | scale | telemetry | all")
-		task  = flag.String("task", "", "task: mnist | fmnist | cifar10 (default: all tasks)")
-		scale = flag.String("scale", "ci", "scale: ci | full")
+		exp    = flag.String("exp", "fig3", "experiment: fig3 | fig4 | fig5 | table1 | ablations | engine | comm | scale | telemetry | all")
+		task   = flag.String("task", "", "task: mnist | fmnist | cifar10 (default: all tasks)")
+		scale  = flag.String("scale", "ci", "scale: ci | full")
 		quick  = flag.Bool("quick", false, "use the seconds-scale smoke preset (scale/telemetry experiments only)")
 		shards = flag.String("shards", "", "comma-separated shard counts for the scale experiment's sharded rows (empty = preset sweep)")
 
@@ -103,8 +103,7 @@ func run() error {
 		beta    = flag.Float64("beta", 0, "override MACH beta (0 = preset)")
 		target  = flag.Float64("target", 0, "override target accuracy (0 = preset)")
 		agg     = flag.String("agg", "", "override aggregation: inverse | plain | literal")
-	lane    = flag.String("lane", "", "override compute lane for local updates: f64 | f32 (default: preset)")
-	fuse    = flag.Bool("fuse", false, "fuse each edge's sampled devices into one lockstep execution task")
+		lane    = flag.String("lane", "", "override compute lane for local updates: f64 | f32 (default: preset)")
 		conf    = flag.String("config", "", "JSON experiment config layered over the preset")
 		outDir  = flag.String("out", "", "directory for per-strategy CSV curves and the resolved config (optional)")
 		ndev    = flag.Float64("noisydev", -1, "override noisy-device fraction (-1 = preset)")
@@ -269,9 +268,6 @@ func run() error {
 				return err
 			}
 			cfg.Lane = *lane
-		}
-		if *fuse {
-			cfg.FuseBatch = true
 		}
 		switch *agg {
 		case "":

@@ -100,7 +100,6 @@ type Config struct {
 	Aggregation      hfl.Aggregation
 	MACH             sampling.MACHConfig
 	Lane             string // compute lane for local updates: "f64" (default) or "f32"
-	FuseBatch        bool   // fuse each edge's sampled devices into one lockstep execution task
 }
 
 // Validate reports whether the config is usable.
@@ -320,7 +319,6 @@ func (c Config) HFLConfig(run int) hfl.Config {
 		Seed:          c.Seed + int64(run)*7919 + 3,
 		Aggregation:   c.Aggregation,
 		Lane:          lane,
-		FuseBatch:     c.FuseBatch,
 	}
 }
 

@@ -25,13 +25,11 @@ func EngineBenchPreset() Config {
 	return cfg
 }
 
-// EngineBenchRow measures one full engine run of one cell: a compute lane ×
-// batch-fusion combination at one worker-pool size.
+// EngineBenchRow measures one full engine run of one cell: a compute lane
+// at one worker-pool size.
 type EngineBenchRow struct {
 	// Lane is the compute lane of the cell ("f64" or "f32").
 	Lane string `json:"lane"`
-	// Fused reports whether cross-device batch fusion was enabled.
-	Fused bool `json:"fused"`
 	// Workers is the resolved pool size passed to hfl.Config.Workers.
 	Workers int `json:"workers"`
 	// StepsRun is the number of simulated time steps executed.
@@ -53,7 +51,7 @@ type EngineBenchRow struct {
 	AllocsPerStep float64 `json:"allocs_per_step"`
 	BytesPerStep  float64 `json:"bytes_per_step"`
 	// SpeedupVsSerial is row 0's WallNs divided by this row's WallNs. Row 0
-	// is always the f64 / unfused / serial cell — the engine's committed
+	// is always the f64 / serial cell — the engine's committed
 	// baseline — so every other cell's speedup reads against it directly.
 	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
 	// FinalAccuracy is recorded so bit-identity across worker counts can be
@@ -104,28 +102,14 @@ func engineBenchWorkerCounts() []int {
 	return out
 }
 
-// engineBenchCells enumerates the lane × fusion grid in measurement order.
-// The first cell is f64 / unfused — the committed baseline whose serial row
-// anchors SpeedupVsSerial and the check-script headline — followed by each
-// acceleration knob alone and then both together.
-func engineBenchCells() []struct {
-	Lane string
-	Fuse bool
-} {
-	return []struct {
-		Lane string
-		Fuse bool
-	}{
-		{"f64", false},
-		{"f64", true},
-		{"f32", false},
-		{"f32", true},
-	}
-}
+// engineBenchLanes lists the compute lanes in measurement order. The first
+// is f64 — the committed baseline whose serial row anchors SpeedupVsSerial
+// and the check-script headline.
+var engineBenchLanes = []string{"f64", "f32"}
 
-// RunEngineBench runs the frozen micro configuration once per lane × fusion
-// cell and worker count, recording wall time, throughput and allocation
-// pressure per cell.
+// RunEngineBench runs the frozen micro configuration once per lane and
+// worker count, recording wall time, throughput and allocation pressure per
+// cell.
 func RunEngineBench(cfg Config) (*EngineBenchResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -142,7 +126,7 @@ func RunEngineBench(cfg Config) (*EngineBenchResult, error) {
 		Steps:      cfg.Steps,
 		Strategy:   StratMACH,
 	}
-	for _, cell := range engineBenchCells() {
+	for _, laneName := range engineBenchLanes {
 		for _, workers := range engineBenchWorkerCounts() {
 			// Fresh environment, strategy and engine per measurement so no
 			// run warms another's caches; the seeds are identical, so the
@@ -157,15 +141,14 @@ func RunEngineBench(cfg Config) (*EngineBenchResult, error) {
 			}
 			hcfg := cfg.HFLConfig(0)
 			hcfg.Workers = workers
-			lane, err := hfl.ParseLane(cell.Lane)
+			lane, err := hfl.ParseLane(laneName)
 			if err != nil {
 				return nil, err
 			}
 			hcfg.Lane = lane
-			hcfg.FuseBatch = cell.Fuse
 			eng, err := hfl.New(hcfg, cfg.Arch(), env.DeviceData, env.Test, env.Schedule, strat)
 			if err != nil {
-				return nil, fmt.Errorf("bench: engine (lane=%s fused=%v workers=%d): %w", cell.Lane, cell.Fuse, workers, err)
+				return nil, fmt.Errorf("bench: engine (lane=%s workers=%d): %w", laneName, workers, err)
 			}
 			var before, after runtime.MemStats
 			runtime.GC()
@@ -175,11 +158,10 @@ func RunEngineBench(cfg Config) (*EngineBenchResult, error) {
 			wall := telemetry.WallSince(start)
 			runtime.ReadMemStats(&after)
 			if err != nil {
-				return nil, fmt.Errorf("bench: engine run (lane=%s fused=%v workers=%d): %w", cell.Lane, cell.Fuse, workers, err)
+				return nil, fmt.Errorf("bench: engine run (lane=%s workers=%d): %w", laneName, workers, err)
 			}
 			row := EngineBenchRow{
-				Lane:           cell.Lane,
-				Fused:          cell.Fuse,
+				Lane:           laneName,
 				Workers:        workers,
 				StepsRun:       run.StepsRun,
 				DevicesTrained: run.TotalSampled,
@@ -264,13 +246,13 @@ func RenderEngineBench(w io.Writer, r *EngineBenchResult) error {
 	if _, err := fmt.Fprintf(w, "config: task=%s model=%s devices=%d edges=%d steps=%d strategy=%s\n\n", r.Task, r.Model, r.Devices, r.Edges, r.Steps, r.Strategy); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%5s %6s %8s %10s %14s %12s %14s %14s %9s %8s\n",
-		"lane", "fused", "workers", "ns/step", "ns/dev-update", "devices/s", "allocs/step", "bytes/step", "speedup", "acc"); err != nil {
+	if _, err := fmt.Fprintf(w, "%5s %8s %10s %14s %12s %14s %14s %9s %8s\n",
+		"lane", "workers", "ns/step", "ns/dev-update", "devices/s", "allocs/step", "bytes/step", "speedup", "acc"); err != nil {
 		return err
 	}
 	for _, row := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%5s %6v %8d %10d %14d %12.1f %14.1f %14.0f %8.2fx %8.4f\n",
-			row.Lane, row.Fused, row.Workers, row.NsPerStep, row.NsPerDeviceUpdate, row.DevicesTrainedPerSec,
+		if _, err := fmt.Fprintf(w, "%5s %8d %10d %14d %12.1f %14.1f %14.0f %8.2fx %8.4f\n",
+			row.Lane, row.Workers, row.NsPerStep, row.NsPerDeviceUpdate, row.DevicesTrainedPerSec,
 			row.AllocsPerStep, row.BytesPerStep, row.SpeedupVsSerial, row.FinalAccuracy); err != nil {
 			return err
 		}

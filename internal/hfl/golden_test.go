@@ -22,24 +22,21 @@ func paramHash(params []float64) uint64 {
 }
 
 // TestFinalParamsGolden pins every bit of the final global model for each
-// execution path of the engine: both compute lanes, fused and unfused, under
-// MACH (gradient norms feed back into sampling), upload failures, learning-
-// rate decay, two shards and a multi-worker pool, plus MACH-P's probe path.
+// execution path of the engine: both compute lanes under MACH (gradient
+// norms feed back into sampling), upload failures, learning-rate decay, two
+// shards and a multi-worker pool, plus MACH-P's probe path.
 // The sampled-count goldens elsewhere would not notice a change that moves
 // the parameters without flipping a sampling coin; these hashes do.
 func TestFinalParamsGolden(t *testing.T) {
 	cases := []struct {
 		name  string
 		lane  Lane
-		fuse  bool
 		probe bool
 		want  uint64
 	}{
-		{"f64/unfused", LaneF64, false, false, 0x353d523a9c0f41dc},
-		{"f64/fused", LaneF64, true, false, 0x353d523a9c0f41dc},
-		{"f32/unfused", LaneF32, false, false, 0x600416da6c6199c0},
-		{"f32/fused", LaneF32, true, false, 0x600416da6c6199c0},
-		{"f64/machp", LaneF64, false, true, 0x37229b5d426ec107},
+		{"f64/unfused", LaneF64, false, 0x353d523a9c0f41dc},
+		{"f32/unfused", LaneF32, false, 0x600416da6c6199c0},
+		{"f64/machp", LaneF64, true, 0x37229b5d426ec107},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -51,7 +48,6 @@ func TestFinalParamsGolden(t *testing.T) {
 			cfg.Shards = 2
 			cfg.EvalBatch = 100
 			cfg.Lane = c.lane
-			cfg.FuseBatch = c.fuse
 			var strat sampling.Strategy
 			var err error
 			if c.probe {

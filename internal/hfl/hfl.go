@@ -76,10 +76,11 @@ type Config struct {
 	// that sampled it. Training experience is still recorded on the device
 	// (it trained); only the upload is lost. 0 disables failures.
 	UploadFailureProb float64
-	// Workers bounds the worker pool that executes per-device local
-	// updates and evaluation shards (0 = runtime.GOMAXPROCS). All random
-	// decisions are made before work is dispatched and results are reduced
-	// in member order, so results are bit-identical for every value.
+	// Workers bounds the worker pool that executes local updates, grouped
+	// into execution chunks (DESIGN.md §10), and evaluation shards (0 =
+	// runtime.GOMAXPROCS). All random decisions are made before work is
+	// dispatched and results are reduced in member order, so results are
+	// bit-identical for every value.
 	Workers int
 	// EvalShards splits test-set evaluation into this fixed number of
 	// shards (0 = 8). The shard count — not the core count — determines
@@ -96,14 +97,6 @@ type Config struct {
 	// across worker counts and tracks the f64 trajectory within float32
 	// tolerance. Probing, evaluation and aggregation always run f64.
 	Lane Lane
-	// FuseBatch fuses the local updates of an edge's sampled devices into
-	// one per-edge lockstep pass (cross-device batch fusion, DESIGN.md
-	// §10): the devices march through the shared architecture layer by
-	// layer with pooled per-edge buffers instead of each walking it alone.
-	// Per-device update semantics, RNG streams and gradients are
-	// unchanged — fused results are bit-identical to unfused within the
-	// same lane. Default off.
-	FuseBatch bool
 	// Shards partitions the control plane into this many in-process shard
 	// actors (0 = 1), each owning a contiguous range of edges plus that
 	// range's member index, experience-observation buffering and
@@ -384,8 +377,9 @@ type Engine struct {
 	evalIdx     []int             // evaluation sample indices
 	evalShard   []evalShardState
 
-	// scratchFree is the free list of worker training scratches: a local
-	// update borrows one for its duration, so at most Workers exist.
+	// scratchFree is the free list of worker training scratches: an
+	// execution chunk borrows one for its duration, so at most Workers
+	// exist.
 	scratchMu   sync.Mutex
 	scratchFree []*trainScratch
 }
@@ -469,7 +463,7 @@ func New(cfg Config, arch ArchFunc, deviceData []*dataset.Dataset, test *dataset
 	if cfg.Lane == LaneF32 {
 		// Fail at construction, not mid-run, when the architecture holds a
 		// layer the float32 lane cannot execute.
-		if _, err := nn.NewLane32(base, 1); err != nil {
+		if _, err := nn.NewLane32(base); err != nil {
 			return nil, fmt.Errorf("hfl: float32 lane: %w", err)
 		}
 	}

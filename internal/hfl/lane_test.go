@@ -1,18 +1,17 @@
 package hfl
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
-	"github.com/mach-fl/mach/internal/dataset"
-	"github.com/mach-fl/mach/internal/mobility"
 	"github.com/mach-fl/mach/internal/sampling"
 )
 
 // runLane runs the standard parallel-test experiment (12 devices, 3 edges,
-// 12 steps, MACH sampling) under the given compute lane / fusion / worker
-// knobs and returns the result and final global parameters.
-func runLane(t *testing.T, lane Lane, fuse bool, workers int) (*Result, []float64) {
+// 12 steps, MACH sampling) under the given compute lane and worker count and
+// returns the result and final global parameters.
+func runLane(t *testing.T, lane Lane, workers int) (*Result, []float64) {
 	t.Helper()
 	parts, test, sched := tinySetup(t, 12, 3, 12, 21)
 	cfg := tinyConfig(12, 21)
@@ -20,7 +19,6 @@ func runLane(t *testing.T, lane Lane, fuse bool, workers int) (*Result, []float6
 	cfg.UploadFailureProb = 0.2
 	cfg.EvalBatch = 100
 	cfg.Lane = lane
-	cfg.FuseBatch = fuse
 	strat, err := sampling.NewMACH(12, sampling.DefaultMACHConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -73,70 +71,60 @@ func mustSameRun(t *testing.T, label string, refRes *Result, refParams []float64
 // TestRunF32BitIdenticalAcrossWorkerCounts extends the engine's determinism
 // contract to the float32 lane: the f32 lane is NOT required to match the
 // f64 lane bitwise (it rounds differently by design), but it must be
-// bit-identical to itself at every worker count, fused or not.
+// bit-identical to itself at every worker count. The subtest keeps the name
+// "unfused" that it had when a fused execution path existed beside it.
 func TestRunF32BitIdenticalAcrossWorkerCounts(t *testing.T) {
-	for _, fuse := range []bool{false, true} {
-		name := "unfused"
-		if fuse {
-			name = "fused"
+	t.Run("unfused", func(t *testing.T) {
+		refRes, refParams := runLane(t, LaneF32, 1)
+		for _, workers := range []int{3, 8} {
+			res, params := runLane(t, LaneF32, workers)
+			mustSameRun(t, "f32", refRes, refParams, res, params)
 		}
-		t.Run(name, func(t *testing.T) {
-			refRes, refParams := runLane(t, LaneF32, fuse, 1)
-			for _, workers := range []int{3, 8} {
-				res, params := runLane(t, LaneF32, fuse, workers)
-				mustSameRun(t, name, refRes, refParams, res, params)
-			}
-		})
-	}
+	})
 }
 
-// TestRunFusedMatchesUnfused is the fusion half of the determinism contract:
-// for each lane, enabling Config.FuseBatch changes scheduling (one execution
-// task per edge instead of per device) and memory layout, but every device
-// still performs the same arithmetic on the same minibatch draws — so the
-// fused run must be bit-identical to the unfused run, including the MACH
-// sampling decisions fed back from gradient norms.
-func TestRunFusedMatchesUnfused(t *testing.T) {
-	for _, lane := range []Lane{LaneF64, LaneF32} {
-		t.Run(lane.String(), func(t *testing.T) {
-			refRes, refParams := runLane(t, lane, false, 4)
-			res, params := runLane(t, lane, true, 4)
-			mustSameRun(t, lane.String()+"/fused", refRes, refParams, res, params)
-		})
-	}
-}
-
-// TestRunFusedSingleDeviceEqualsUnfused is the degenerate-fusion property:
-// with one device on one edge, the fused path has nothing to fuse and must
-// reduce exactly to the unfused path in both lanes.
-func TestRunFusedSingleDeviceEqualsUnfused(t *testing.T) {
-	setup := func(t *testing.T) ([]*dataset.Dataset, *dataset.Dataset, *mobility.Schedule) {
+// TestRunChunkedBitIdenticalAcrossWorkerCounts: with far more sampled
+// devices per step than chunksPerWorker·Workers, devices share execution
+// chunks, and the chunk layout differs at every worker count. Grouping
+// devices must never change a result, in either lane.
+func TestRunChunkedBitIdenticalAcrossWorkerCounts(t *testing.T) {
+	const devices, steps = 200, 6
+	run := func(t *testing.T, lane Lane, workers int) (*Result, []float64) {
 		t.Helper()
-		return tinySetup(t, 1, 1, 10, 33)
+		parts, test, sched := tinySetup(t, devices, 4, steps, 9)
+		cfg := tinyConfig(steps, 9)
+		cfg.Participation = 1
+		cfg.UploadFailureProb = 0.2
+		cfg.EvalBatch = 100
+		cfg.Workers = workers
+		cfg.Lane = lane
+		strat, err := sampling.NewMACH(devices, sampling.DefaultMACHConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(cfg, tinyArch, parts, test, sched, strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, eng.GlobalParams()
 	}
 	for _, lane := range []Lane{LaneF64, LaneF32} {
 		t.Run(lane.String(), func(t *testing.T) {
-			var refRes *Result
-			var refParams []float64
-			for _, fuse := range []bool{false, true} {
-				parts, test, sched := setup(t)
-				cfg := tinyConfig(10, 33)
-				cfg.Participation = 1
-				cfg.Lane = lane
-				cfg.FuseBatch = fuse
-				eng, err := New(cfg, tinyArch, parts, test, sched, sampling.NewUniform())
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := eng.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !fuse {
-					refRes, refParams = res, eng.GlobalParams()
-					continue
-				}
-				mustSameRun(t, lane.String()+"/single", refRes, refParams, res, eng.GlobalParams())
+			refRes, refParams := run(t, lane, 1)
+			chunked := false
+			for _, n := range refRes.SampledPerStep {
+				chunked = chunked || n > chunksPerWorker
+			}
+			if !chunked {
+				t.Fatalf("no step sampled more than %d devices: %v", chunksPerWorker, refRes.SampledPerStep)
+			}
+			for _, workers := range []int{3, 8} {
+				res, params := run(t, lane, workers)
+				mustSameRun(t, fmt.Sprintf("%v/workers=%d", lane, workers), refRes, refParams, res, params)
 			}
 		})
 	}
@@ -148,13 +136,12 @@ func TestRunFusedSingleDeviceEqualsUnfused(t *testing.T) {
 // one-ulp difference flip a sample), so the remaining divergence is pure
 // float32 rounding in forward/backward. The float64 master weights must stay
 // close elementwise and the final accuracy must agree within tolerance.
-// scripts/check.sh runs this test as the f32-lane + fusion smoke.
+// scripts/check.sh runs this test as the f32-lane smoke.
 func TestRunF32TracksF64(t *testing.T) {
-	run := func(lane Lane, fuse bool) (*Result, []float64) {
+	run := func(lane Lane) (*Result, []float64) {
 		parts, test, sched := tinySetup(t, 12, 3, 12, 21)
 		cfg := tinyConfig(12, 21)
 		cfg.Lane = lane
-		cfg.FuseBatch = fuse
 		eng, err := New(cfg, tinyArch, parts, test, sched, sampling.NewUniform())
 		if err != nil {
 			t.Fatal(err)
@@ -165,18 +152,16 @@ func TestRunF32TracksF64(t *testing.T) {
 		}
 		return res, eng.GlobalParams()
 	}
-	refRes, refParams := run(LaneF64, false)
+	refRes, refParams := run(LaneF64)
 	refAcc := refRes.History.Points[len(refRes.History.Points)-1].Accuracy
-	for _, fuse := range []bool{false, true} {
-		res, params := run(LaneF32, fuse)
-		acc := res.History.Points[len(res.History.Points)-1].Accuracy
-		if d := math.Abs(acc - refAcc); d > 0.05 {
-			t.Fatalf("fuse=%v: f32 final accuracy %.4f drifted %.4f from f64 %.4f", fuse, acc, d, refAcc)
-		}
-		for j, v := range refParams {
-			if d := math.Abs(params[j] - v); d > 1e-2*math.Max(1, math.Abs(v)) {
-				t.Fatalf("fuse=%v: param %d = %v, f64 %v (diff %v)", fuse, j, params[j], v, d)
-			}
+	res, params := run(LaneF32)
+	acc := res.History.Points[len(res.History.Points)-1].Accuracy
+	if d := math.Abs(acc - refAcc); d > 0.05 {
+		t.Fatalf("f32 final accuracy %.4f drifted %.4f from f64 %.4f", acc, d, refAcc)
+	}
+	for j, v := range refParams {
+		if d := math.Abs(params[j] - v); d > 1e-2*math.Max(1, math.Abs(v)) {
+			t.Fatalf("param %d = %v, f64 %v (diff %v)", j, params[j], v, d)
 		}
 	}
 }

@@ -603,7 +603,7 @@ func (e *Engine) cloudAggregate(t int) {
 	}
 	for g := 0; g < e.groups; g++ {
 		sum := 0
-		for n := groupEdgeLo(e.nEdges, e.groups, g); n < groupEdgeLo(e.nEdges, e.groups, g+1); n++ {
+		for n := rangeLo(e.nEdges, e.groups, g); n < rangeLo(e.nEdges, e.groups, g+1); n++ {
 			sum += e.cloudCounts[n]
 		}
 		e.groupCounts[g] = sum

@@ -47,10 +47,11 @@ func cloudGroups(edges int) int {
 	return cloudReduceGroups
 }
 
-// groupEdgeLo returns the first edge of group g under the canonical
-// partition of edges into groups contiguous ranges: group g covers
-// [edges·g/groups, edges·(g+1)/groups).
-func groupEdgeLo(edges, groups, g int) int { return edges * g / groups }
+// rangeLo returns the first index of part i when n items split into parts
+// contiguous ranges whose sizes differ by at most one: part i covers
+// [n·i/parts, n·(i+1)/parts). It partitions edges into cloud-reduce groups
+// and a shard's sampled devices into execution chunks.
+func rangeLo(n, parts, i int) int { return n * i / parts }
 
 // shardOp selects what a shardCmd asks the shard to do.
 type shardOp int
@@ -120,6 +121,10 @@ type shardState struct {
 	// serial finalize loop.
 	aggResults []localResult
 
+	// items lists the step's sampled devices in edge order, then plan
+	// order; the execution phase splits it into chunks.
+	items []execItem
+
 	// partials[g-gLo] is group g's cloud-reduce partial sum.
 	partials [][]float64
 
@@ -138,7 +143,7 @@ func newShardState(e *Engine, id, shards int) *shardState {
 	edges := e.nEdges
 	groups := cloudGroups(edges)
 	gLo, gHi := groups*id/shards, groups*(id+1)/shards
-	lo, hi := groupEdgeLo(edges, groups, gLo), groupEdgeLo(edges, groups, gHi)
+	lo, hi := rangeLo(edges, groups, gLo), rangeLo(edges, groups, gHi)
 	s := &shardState{
 		e:        e,
 		id:       id,
@@ -292,19 +297,18 @@ func (s *shardState) step(t int) {
 	if s.decideErr != nil {
 		return // the engine aborts the run; skip execution like the monolith
 	}
-	// One pool task per sampled device, or per edge plan when fused.
-	g := e.pool.Group()
+	s.items = s.items[:0]
 	for n := s.lo; n < s.hi; n++ {
-		edgeParams, devs := e.edge[n], e.plans[n].devs
-		if e.cfg.FuseBatch {
-			if len(devs) > 0 {
-				g.Go(func() { e.trainDevices(devs, edgeParams) })
-			}
-			continue
+		for i := range e.plans[n].devs {
+			s.items = append(s.items, execItem{n, i})
 		}
-		for i := range devs {
-			g.Go(func() { e.trainDevices(devs[i:i+1], edgeParams) })
-		}
+	}
+	g := e.pool.Group()
+	items := s.items
+	k := execChunks(len(items), e.pool.Workers())
+	for c := 0; c < k; c++ {
+		chunk := items[rangeLo(len(items), k, c):rangeLo(len(items), k, c+1)]
+		g.Go(func() { e.trainChunk(chunk) })
 	}
 	s.queueDepth = e.pool.QueueDepth()
 	g.Wait()
@@ -335,7 +339,7 @@ func (s *shardState) cloudPartials(total float64) {
 		for j := range dst {
 			dst[j] = 0
 		}
-		for n := groupEdgeLo(edges, groups, g); n < groupEdgeLo(edges, groups, g+1); n++ {
+		for n := rangeLo(edges, groups, g); n < rangeLo(edges, groups, g+1); n++ {
 			w := float64(s.index.Count(n)) / total
 			//machlint:allow floateq zero weight is exact (0/total); skipping it avoids touching the partial with -0 terms
 			if w == 0 {
@@ -351,7 +355,6 @@ func (s *shardState) cloudPartials(total float64) {
 // storage, and the accumulation corrupts dst if they do.
 //
 //machlint:noalias dst,src
-//
 //machlint:allocfree
 func weightedAccumInto(dst, src []float64, w float64) {
 	for j, v := range src {

@@ -163,7 +163,7 @@ func TestShardLayout(t *testing.T) {
 			if s.hi <= s.lo {
 				t.Fatalf("Shards=%d: shard %d owns empty range [%d,%d)", tc.configured, i, s.lo, s.hi)
 			}
-			if got := groupEdgeLo(sched.Edges, eng.groups, s.gLo); got != s.lo {
+			if got := rangeLo(sched.Edges, eng.groups, s.gLo); got != s.lo {
 				t.Fatalf("Shards=%d: shard %d range not group-aligned: lo %d vs group lo %d", tc.configured, i, s.lo, got)
 			}
 			for n := s.lo; n < s.hi; n++ {

@@ -28,61 +28,94 @@ func TestNewRejectsDropout(t *testing.T) {
 	}
 }
 
-// TestWarmLocalUpdateZeroAllocs: once a worker scratch and the plan slots
-// hold their buffers, a local update — one device, or a fused edge of
-// three — allocates nothing in either lane.
-func TestWarmLocalUpdateZeroAllocs(t *testing.T) {
-	for _, lane := range []Lane{LaneF64, LaneF32} {
-		for _, count := range []int{1, 3} {
-			parts, test, sched := tinySetup(t, 4, 2, 5, 3)
-			cfg := tinyConfig(5, 3)
-			cfg.Lane = lane
-			eng, err := New(cfg, tinyArch, parts, test, sched, sampling.NewUniform())
-			if err != nil {
-				t.Fatal(err)
+// TestExecChunksSplit pins the execution-chunk rule: min(n,
+// chunksPerWorker·Workers) contiguous chunks whose sizes differ by at most
+// one, covering every sampled device once and in order.
+func TestExecChunksSplit(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+		for _, workers := range []int{1, 2, 3} {
+			k := execChunks(n, workers)
+			if want := min(n, chunksPerWorker*workers); k != want {
+				t.Fatalf("n=%d workers=%d: %d chunks, want %d", n, workers, k, want)
 			}
-			devs := make([]plannedDevice, count)
-			for i := range devs {
-				devs[i] = plannedDevice{m: i, upload: true}
-			}
-			eng.trainDevices(devs, eng.edge[0])
-			allocs := testing.AllocsPerRun(20, func() {
-				eng.trainDevices(devs, eng.edge[0])
-			})
-			for i := range devs {
-				if devs[i].err != nil {
-					t.Fatal(devs[i].err)
+			next, minSize, maxSize := 0, n, 0
+			for c := 0; c < k; c++ {
+				lo, hi := rangeLo(n, k, c), rangeLo(n, k, c+1)
+				if lo != next {
+					t.Fatalf("n=%d workers=%d: chunk %d starts at %d, want %d", n, workers, c, lo, next)
 				}
+				minSize, maxSize = min(minSize, hi-lo), max(maxSize, hi-lo)
+				next = hi
 			}
-			if allocs != 0 {
-				t.Fatalf("%v lane, %d devices: warm local update allocates %v times", lane, count, allocs)
+			if next != n {
+				t.Fatalf("n=%d workers=%d: chunks cover [0, %d)", n, workers, next)
+			}
+			if k > 0 && (minSize < 1 || maxSize-minSize > 1) {
+				t.Fatalf("n=%d workers=%d: chunk sizes span [%d, %d]", n, workers, minSize, maxSize)
 			}
 		}
 	}
 }
 
-// TestTrainingScratchBoundedByWorkers: the engine keeps one training
-// scratch per concurrently running update at most — never one per device.
-func TestTrainingScratchBoundedByWorkers(t *testing.T) {
-	for _, fuse := range []bool{false, true} {
-		parts, test, sched := tinySetup(t, 24, 3, 10, 5)
-		cfg := tinyConfig(10, 5)
-		cfg.Workers = 2
-		cfg.FuseBatch = fuse
+// TestWarmLocalUpdateZeroAllocs: once a worker scratch and the plan slots
+// hold their buffers, an execution chunk spanning two edges allocates
+// nothing in either lane.
+func TestWarmLocalUpdateZeroAllocs(t *testing.T) {
+	for _, lane := range []Lane{LaneF64, LaneF32} {
+		parts, test, sched := tinySetup(t, 4, 2, 5, 3)
+		cfg := tinyConfig(5, 3)
+		cfg.Lane = lane
 		eng, err := New(cfg, tinyArch, parts, test, sched, sampling.NewUniform())
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
+		var items []execItem
+		for n := 0; n < 2; n++ {
+			for i := 0; i < 2; i++ {
+				eng.plans[n].devs = append(eng.plans[n].devs, plannedDevice{m: 2*n + i, upload: i == 0})
+				items = append(items, execItem{n, i})
+			}
 		}
-		if res.TotalSampled == 0 {
-			t.Fatal("no device trained")
+		eng.trainChunk(items)
+		allocs := testing.AllocsPerRun(20, func() {
+			eng.trainChunk(items)
+		})
+		for _, it := range items {
+			if err := eng.plans[it.n].devs[it.i].err; err != nil {
+				t.Fatal(err)
+			}
 		}
-		if n := len(eng.scratchFree); n < 1 || n > cfg.Workers {
-			t.Fatalf("fuse=%v: engine holds %d training scratches for %d workers", fuse, n, cfg.Workers)
+		if allocs != 0 {
+			t.Fatalf("%v lane: warm execution chunk allocates %v times", lane, allocs)
 		}
+	}
+}
+
+// TestTrainingScratchBoundedByWorkers: the engine keeps one training
+// scratch per concurrently running chunk at most — never one per device —
+// also when devices share chunks.
+func TestTrainingScratchBoundedByWorkers(t *testing.T) {
+	parts, test, sched := tinySetup(t, 160, 3, 10, 5)
+	cfg := tinyConfig(10, 5)
+	cfg.Workers = 2
+	cfg.Participation = 1
+	eng, err := New(cfg, tinyArch, parts, test, sched, sampling.NewUniform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunked := false
+	for _, n := range res.SampledPerStep {
+		chunked = chunked || n > chunksPerWorker*cfg.Workers
+	}
+	if !chunked {
+		t.Fatalf("no step sampled more than %d devices: %v", chunksPerWorker*cfg.Workers, res.SampledPerStep)
+	}
+	if n := len(eng.scratchFree); n < 1 || n > cfg.Workers {
+		t.Fatalf("engine holds %d training scratches for %d workers", n, cfg.Workers)
 	}
 }
 

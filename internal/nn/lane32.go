@@ -9,13 +9,10 @@ import (
 
 // Lane32 executes the float32 compute lane (DESIGN.md §10): forward/backward
 // passes run entirely in float32 over pooled flat buffers, while every
-// aggregation boundary stays float64 — per-slot master weights, the SGD
-// update, the loss, and the gradient squared norm that feeds MACH sampling.
-// One Lane32 serves S "slots", each a logical device sharing the same
-// architecture: slot activations live side by side in one strided buffer per
-// layer, so a fused per-edge step walks the network layer-by-layer across all
-// slots with cache-hot, contiguous data (the cross-device batch fusion of
-// ROADMAP item 5). With slots == 1 it is the unfused per-device f32 executor.
+// aggregation boundary stays float64 — master weights, the SGD update, the
+// loss, and the gradient squared norm that feeds MACH sampling. One Lane32
+// trains one device at a time; a worker reloads it from the edge model for
+// each local update.
 //
 // Numeric contract:
 //
@@ -28,24 +25,23 @@ import (
 //     normalization — is float32, with batch statistics reduced in float64.
 //
 // Lane32 is deterministic: given the same loaded params and inputs it
-// produces bit-identical float32 results regardless of how many other slots
-// are active or how work is scheduled around it (all execution is serial
-// inside TrainStep). It is not safe for concurrent use.
+// produces bit-identical float32 results regardless of how work is scheduled
+// around it (all execution is serial inside TrainStep). It is not safe for
+// concurrent use.
 type Lane32 struct {
 	name      string
 	ops       []lane32Op
 	paramLen  int
 	sampleLen int
 	classes   int
-	slots     int
 	batch     int // batch size the pooled buffers are currently sized for
 
-	master [][]float64 // per-slot f64 master weights, Params() layout
-	params [][]float32 // per-slot f32 compute copy of master
-	grads  [][]float32 // per-slot f32 gradient accumulator
+	master []float64 // f64 master weights, Params() layout
+	params []float32 // f32 compute copy of master
+	grads  []float32 // f32 gradient accumulator
 
-	inBuf        []float32 // network input, strided [slot][batch][sampleLen]
-	gradA, gradB []float32 // ping-pong gradient buffers, S·B·maxLen each
+	inBuf        []float32 // network input, [batch][sampleLen]
+	gradA, gradB []float32 // ping-pong gradient buffers, B·maxLen each
 
 	// Shared serial scratch (TrainStep never runs ops concurrently).
 	dw, dcols                          []float32
@@ -63,9 +59,9 @@ const (
 	laneOpBN
 )
 
-// lane32Op is one compiled layer. Buffer fields are pooled across slots and
-// strided slot-major; inRef aliases the previous op's outBuf (or the lane
-// input buffer), which doubles as the cached forward input for backward.
+// lane32Op is one compiled layer. inRef aliases the previous op's outBuf (or
+// the lane input buffer), which doubles as the cached forward input for
+// backward.
 type lane32Op struct {
 	kind lane32Kind
 	name string
@@ -86,25 +82,22 @@ type lane32Op struct {
 
 	outBuf []float32
 	inRef  []float32
-	cols   []float32 // conv: cached column matrices, [slot][image][cr·sp]
+	cols   []float32 // conv: cached column matrices, [image][cr·sp]
 	argmax []int32   // pool: flat input index per output element
 	xhat   []float32 // bn: cached normalized activations
-	std    []float64 // bn: per-slot batch std, [slot][features]
-	// bn per-slot running statistics (float64, excluded from the parameter
-	// vector exactly like BatchNorm1D). They live with the slot: callers that
-	// reassign slots across logical devices treat them as ephemeral, the
-	// known federated batch-norm caveat documented on BatchNorm1D.
+	std    []float64 // bn: batch std, [features]
+	// bn running statistics (float64, excluded from the parameter vector
+	// exactly like BatchNorm1D). They live with the lane: callers that reuse
+	// one lane across logical devices treat them as ephemeral, the known
+	// federated batch-norm caveat documented on BatchNorm1D.
 	runMean, runVar []float64
 }
 
-// NewLane32 compiles net's layer stack into a float32 executor with the given
-// number of slots. It returns an error for layer types the lane does not
-// support (e.g. Dropout, whose RNG stream is owned by the f64 layer).
-func NewLane32(net *Network, slots int) (*Lane32, error) {
-	if slots <= 0 {
-		return nil, fmt.Errorf("nn: Lane32 needs at least one slot, got %d", slots)
-	}
-	l := &Lane32{name: net.Name(), slots: slots}
+// NewLane32 compiles net's layer stack into a float32 executor. It returns
+// an error for layer types the lane does not support (e.g. Dropout, whose RNG
+// stream is owned by the f64 layer).
+func NewLane32(net *Network) (*Lane32, error) {
+	l := &Lane32{name: net.Name()}
 	off := 0
 	var shape []int // per-sample shape, nil until anchored by a Dense or Conv2D
 	prod := func() int {
@@ -187,9 +180,9 @@ func NewLane32(net *Network, slots int) (*Lane32, error) {
 				features: t.features, mom: t.momentum, eps: t.epsilon,
 				wOff: lOff, bOff: lOff + t.features,
 				inLen: t.features, outLen: t.features,
-				std:     make([]float64, slots*t.features),
-				runMean: make([]float64, slots*t.features),
-				runVar:  make([]float64, slots*t.features),
+				std:     make([]float64, t.features),
+				runMean: make([]float64, t.features),
+				runVar:  make([]float64, t.features),
 			}
 			for i := range op.runVar {
 				op.runVar[i] = 1
@@ -208,14 +201,9 @@ func NewLane32(net *Network, slots int) (*Lane32, error) {
 	l.paramLen = off
 	l.sampleLen = l.ops[0].inLen
 	l.classes = l.ops[len(l.ops)-1].outLen
-	l.master = make([][]float64, slots)
-	l.params = make([][]float32, slots)
-	l.grads = make([][]float32, slots)
-	for s := 0; s < slots; s++ {
-		l.master[s] = make([]float64, off)
-		l.params[s] = make([]float32, off)
-		l.grads[s] = make([]float32, off)
-	}
+	l.master = make([]float64, off)
+	l.params = make([]float32, off)
+	l.grads = make([]float32, off)
 	l.dw = make([]float32, maxDW)
 	l.dcols = make([]float32, maxDcols)
 	l.statMean = make([]float64, maxF)
@@ -225,9 +213,6 @@ func NewLane32(net *Network, slots int) (*Lane32, error) {
 	l.expRow = make([]float64, l.classes)
 	return l, nil
 }
-
-// Slots returns the number of device slots the lane was built with.
-func (l *Lane32) Slots() int { return l.slots }
 
 // NumParams returns the flat parameter count (same layout as Network.ParamVector).
 func (l *Lane32) NumParams() int { return l.paramLen }
@@ -239,100 +224,69 @@ func (l *Lane32) SampleLen() int { return l.sampleLen }
 func (l *Lane32) Classes() int { return l.classes }
 
 // LoadParams installs a flat float64 parameter vector (Network.ParamVector
-// layout) as slot's master weights and rounds the float32 compute copy.
-func (l *Lane32) LoadParams(slot int, v []float64) error {
+// layout) as the master weights and rounds the float32 compute copy.
+func (l *Lane32) LoadParams(v []float64) error {
 	if len(v) != l.paramLen {
 		return fmt.Errorf("nn: Lane32 parameter vector length %d does not match network %q (%d params)", len(v), l.name, l.paramLen)
 	}
-	m, p := l.master[slot], l.params[slot]
-	copy(m, v)
-	for i, x := range m {
-		p[i] = float32(x)
+	copy(l.master, v)
+	for i, x := range l.master {
+		l.params[i] = float32(x)
 	}
 	return nil
 }
 
-// ParamsInto appends slot's float64 master weights to dst[:0] and returns
-// the slice — the aggregation-boundary view of the slot, free of float32
+// ParamsInto appends the float64 master weights to dst[:0] and returns the
+// slice — the aggregation-boundary view of the lane, free of float32
 // round-trips.
-func (l *Lane32) ParamsInto(slot int, dst []float64) []float64 {
-	return append(dst[:0], l.master[slot]...)
+func (l *Lane32) ParamsInto(dst []float64) []float64 {
+	return append(dst[:0], l.master...)
 }
 
-// SetInput converts a flat float64 batch ([batch][sampleLen]) into slot's
-// strided float32 input window. All slots of one TrainStep must use the same
-// batch size; changing it resizes the pooled buffers and invalidates inputs
-// staged for other slots.
-func (l *Lane32) SetInput(slot, batch int, src []float64) {
+// SetInput converts a flat float64 batch ([batch][sampleLen]) into the
+// float32 input buffer. Changing the batch size resizes the pooled buffers.
+func (l *Lane32) SetInput(batch int, src []float64) {
 	if len(src) != batch*l.sampleLen {
 		panic(fmt.Sprintf("nn: Lane32 input %d floats, want %d (batch %d × sample %d)", len(src), batch*l.sampleLen, batch, l.sampleLen))
 	}
 	l.ensure(batch)
-	dst := l.inBuf[slot*batch*l.sampleLen : (slot+1)*batch*l.sampleLen]
 	for i, v := range src {
-		dst[i] = float32(v)
+		l.inBuf[i] = float32(v)
 	}
 }
 
-// TrainStep runs one fused SGD minibatch over slots 0..active-1: float32
-// forward, softmax cross-entropy, float32 backward, float64 master update.
-// labels[s], losses[s] and sqNorms[s] are per-slot; lr applies to all slots.
-func (l *Lane32) TrainStep(active, batch int, labels [][]int, lr float64, losses, sqNorms []float64) {
-	if active <= 0 {
-		return
-	}
-	if active > l.slots {
-		panic(fmt.Sprintf("nn: Lane32 asked for %d active slots, built with %d", active, l.slots))
-	}
-	if len(labels) < active || len(losses) < active || len(sqNorms) < active {
-		panic("nn: Lane32.TrainStep per-slot slices shorter than active count")
-	}
+// TrainStep runs one SGD minibatch on the staged input: float32 forward,
+// softmax cross-entropy, float32 backward, float64 master update. It returns
+// the batch loss and the squared gradient norm measured before the update.
+func (l *Lane32) TrainStep(batch int, labels []int, lr float64) (loss, sqNorm float64) {
 	l.ensure(batch)
-	for s := 0; s < active; s++ {
-		g := l.grads[s]
-		for i := range g {
-			g[i] = 0
-		}
+	for i := range l.grads {
+		l.grads[i] = 0
 	}
 	for i := range l.ops {
-		op := &l.ops[i]
-		for s := 0; s < active; s++ {
-			l.forwardOp(op, s, batch)
-		}
+		l.forwardOp(&l.ops[i], batch)
 	}
 	last := &l.ops[len(l.ops)-1]
-	for s := 0; s < active; s++ {
-		logits := last.outBuf[s*batch*l.classes : (s+1)*batch*l.classes]
-		gseg := l.gradA[s*batch*l.classes : (s+1)*batch*l.classes]
-		losses[s] = l.lossInto(logits, labels[s], gseg, batch)
-	}
+	loss = l.lossInto(last.outBuf, labels, l.gradA[:batch*l.classes], batch)
 	gout, gin := l.gradA, l.gradB
 	for i := len(l.ops) - 1; i >= 0; i-- {
-		op := &l.ops[i]
 		// The first op's input gradient has no consumer — nothing reads
 		// gin below op 0 — so its (often largest) dX product is skipped.
-		needGin := i > 0
-		for s := 0; s < active; s++ {
-			l.backwardOp(op, s, batch, gout, gin, needGin)
-		}
+		l.backwardOp(&l.ops[i], batch, gout, gin, i > 0)
 		gout, gin = gin, gout
 	}
-	// Aggregation boundary: norms and the SGD update run in float64 against
-	// the master weights, then the float32 copy is re-rounded. One pass:
-	// the norm terms accumulate in ascending j exactly as a separate loop
-	// would.
-	for s := 0; s < active; s++ {
-		g := l.grads[s]
-		m, p := l.master[s], l.params[s]
-		sum := 0.0
-		for j, gv := range g {
-			f := float64(gv)
-			sum += f * f
-			m[j] -= lr * f
-			p[j] = float32(m[j])
-		}
-		sqNorms[s] = sum
+	// Aggregation boundary: the norm and the SGD update run in float64
+	// against the master weights, then the float32 copy is re-rounded. One
+	// pass: the norm terms accumulate in ascending j exactly as a separate
+	// loop would.
+	m, p := l.master, l.params
+	for j, gv := range l.grads {
+		f := float64(gv)
+		sqNorm += f * f
+		m[j] -= lr * f
+		p[j] = float32(m[j])
 	}
+	return loss, sqNorm
 }
 
 // ensure sizes the pooled buffers for the given batch, reusing capacity. In
@@ -342,19 +296,18 @@ func (l *Lane32) ensure(batch int) {
 		return
 	}
 	l.batch = batch
-	S := l.slots
-	l.inBuf = grow32(l.inBuf, S*batch*l.sampleLen)
+	l.inBuf = grow32(l.inBuf, batch*l.sampleLen)
 	maxLen := 0
 	for i := range l.ops {
 		op := &l.ops[i]
-		op.outBuf = grow32(op.outBuf, S*batch*op.outLen)
+		op.outBuf = grow32(op.outBuf, batch*op.outLen)
 		switch op.kind {
 		case laneOpConv:
-			op.cols = grow32(op.cols, S*batch*op.cr*op.sp)
+			op.cols = grow32(op.cols, batch*op.cr*op.sp)
 		case laneOpPool:
-			op.argmax = growI32(op.argmax, S*batch*op.outLen)
+			op.argmax = growI32(op.argmax, batch*op.outLen)
 		case laneOpBN:
-			op.xhat = grow32(op.xhat, S*batch*op.features)
+			op.xhat = grow32(op.xhat, batch*op.features)
 		}
 		if op.inLen > maxLen {
 			maxLen = op.inLen
@@ -363,8 +316,8 @@ func (l *Lane32) ensure(batch int) {
 			maxLen = op.outLen
 		}
 	}
-	l.gradA = grow32(l.gradA, S*batch*maxLen)
-	l.gradB = grow32(l.gradB, S*batch*maxLen)
+	l.gradA = grow32(l.gradA, batch*maxLen)
+	l.gradB = grow32(l.gradB, batch*maxLen)
 	prev := l.inBuf
 	for i := range l.ops {
 		l.ops[i].inRef = prev
@@ -372,13 +325,12 @@ func (l *Lane32) ensure(batch int) {
 	}
 }
 
-func (l *Lane32) forwardOp(op *lane32Op, s, batch int) {
-	in := op.inRef[s*batch*op.inLen : (s+1)*batch*op.inLen]
-	out := op.outBuf[s*batch*op.outLen : (s+1)*batch*op.outLen]
+func (l *Lane32) forwardOp(op *lane32Op, batch int) {
+	in, out := op.inRef, op.outBuf
 	switch op.kind {
 	case laneOpDense:
-		w := l.params[s][op.wOff : op.wOff+op.out*op.in]
-		b := l.params[s][op.bOff : op.bOff+op.out]
+		w := l.params[op.wOff : op.wOff+op.out*op.in]
+		b := l.params[op.bOff : op.bOff+op.out]
 		tensor.MatMulTransB32Into(out, in, w, batch, op.in, op.out)
 		for i := 0; i < batch; i++ {
 			row := out[i*op.out : (i+1)*op.out]
@@ -387,10 +339,10 @@ func (l *Lane32) forwardOp(op *lane32Op, s, batch int) {
 			}
 		}
 	case laneOpConv:
-		w := l.params[s][op.wOff : op.wOff+op.outC*op.cr]
-		b := l.params[s][op.bOff : op.bOff+op.outC]
+		w := l.params[op.wOff : op.wOff+op.outC*op.cr]
+		b := l.params[op.bOff : op.bOff+op.outC]
 		for i := 0; i < batch; i++ {
-			cols := op.cols[(s*batch+i)*op.cr*op.sp : (s*batch+i+1)*op.cr*op.sp]
+			cols := op.cols[i*op.cr*op.sp : (i+1)*op.cr*op.sp]
 			tensor.Im2Col32Into(cols, in[i*op.inLen:(i+1)*op.inLen], op.geom)
 			seg := out[i*op.outLen : (i+1)*op.outLen]
 			tensor.MatMul32Into(seg, w, cols, op.outC, op.cr, op.sp)
@@ -412,7 +364,7 @@ func (l *Lane32) forwardOp(op *lane32Op, s, batch int) {
 		}
 	case laneOpPool:
 		oh, ow := op.h/2, op.w/2
-		am := op.argmax[s*batch*op.outLen : (s+1)*batch*op.outLen]
+		am := op.argmax
 		oi := 0
 		for bc := 0; bc < batch*op.c; bc++ {
 			plane := bc * op.h * op.w
@@ -437,20 +389,20 @@ func (l *Lane32) forwardOp(op *lane32Op, s, batch int) {
 			}
 		}
 	case laneOpBN:
-		l.forwardBN(op, s, batch, in, out)
+		l.forwardBN(op, batch, in, out)
 	}
 }
 
-func (l *Lane32) backwardOp(op *lane32Op, s, batch int, goutBuf, ginBuf []float32, needGin bool) {
-	gout := goutBuf[s*batch*op.outLen : (s+1)*batch*op.outLen]
-	gin := ginBuf[s*batch*op.inLen : (s+1)*batch*op.inLen]
-	in := op.inRef[s*batch*op.inLen : (s+1)*batch*op.inLen]
+func (l *Lane32) backwardOp(op *lane32Op, batch int, goutBuf, ginBuf []float32, needGin bool) {
+	gout := goutBuf[:batch*op.outLen]
+	gin := ginBuf[:batch*op.inLen]
+	in := op.inRef
 	switch op.kind {
 	case laneOpDense:
 		// dW accumulates straight into the flat gradient buffer — no scratch.
-		dw := l.grads[s][op.wOff : op.wOff+op.out*op.in]
+		dw := l.grads[op.wOff : op.wOff+op.out*op.in]
 		tensor.MatMulTransA32Acc(dw, gout, in, batch, op.out, op.in)
-		db := l.grads[s][op.bOff : op.bOff+op.out]
+		db := l.grads[op.bOff : op.bOff+op.out]
 		for i := 0; i < batch; i++ {
 			row := gout[i*op.out : (i+1)*op.out]
 			for j, v := range row {
@@ -458,18 +410,18 @@ func (l *Lane32) backwardOp(op *lane32Op, s, batch int, goutBuf, ginBuf []float3
 			}
 		}
 		if needGin {
-			w := l.params[s][op.wOff : op.wOff+op.out*op.in]
+			w := l.params[op.wOff : op.wOff+op.out*op.in]
 			tensor.MatMul32Into(gin, gout, w, batch, op.out, op.in)
 		}
 	case laneOpConv:
-		w := l.params[s][op.wOff : op.wOff+op.outC*op.cr]
-		dwAcc := l.grads[s][op.wOff : op.wOff+op.outC*op.cr]
-		db := l.grads[s][op.bOff : op.bOff+op.outC]
+		w := l.params[op.wOff : op.wOff+op.outC*op.cr]
+		dwAcc := l.grads[op.wOff : op.wOff+op.outC*op.cr]
+		db := l.grads[op.bOff : op.bOff+op.outC]
 		dw := l.dw[:op.outC*op.cr]
 		dcols := l.dcols[:op.cr*op.sp]
 		for i := 0; i < batch; i++ {
 			gmat := gout[i*op.outLen : (i+1)*op.outLen]
-			cols := op.cols[(s*batch+i)*op.cr*op.sp : (s*batch+i+1)*op.cr*op.sp]
+			cols := op.cols[i*op.cr*op.sp : (i+1)*op.cr*op.sp]
 			tensor.MatMulTransB32Into(dw, gmat, cols, op.outC, op.sp, op.cr)
 			for j, v := range dw {
 				dwAcc[j] += v
@@ -493,8 +445,7 @@ func (l *Lane32) backwardOp(op *lane32Op, s, batch int, goutBuf, ginBuf []float3
 		}
 	case laneOpReLU:
 		// The forward output doubles as the mask: out > 0 ⟺ input > 0.
-		out := op.outBuf[s*batch*op.outLen : (s+1)*batch*op.outLen]
-		for i, v := range out {
+		for i, v := range op.outBuf {
 			if v > 0 {
 				gin[i] = gout[i]
 			} else {
@@ -502,7 +453,7 @@ func (l *Lane32) backwardOp(op *lane32Op, s, batch int, goutBuf, ginBuf []float3
 			}
 		}
 	case laneOpPool:
-		am := op.argmax[s*batch*op.outLen : (s+1)*batch*op.outLen]
+		am := op.argmax
 		for i := range gin {
 			gin[i] = 0
 		}
@@ -510,13 +461,13 @@ func (l *Lane32) backwardOp(op *lane32Op, s, batch int, goutBuf, ginBuf []float3
 			gin[am[i]] += v
 		}
 	case laneOpBN:
-		l.backwardBN(op, s, batch, gout, gin)
+		l.backwardBN(op, batch, gout, gin)
 	}
 }
 
 // forwardBN normalizes in float32 with float64 batch statistics — the same
 // accumulation-boundary rule as the loss: reductions over the batch are f64.
-func (l *Lane32) forwardBN(op *lane32Op, s, batch int, in, out []float32) {
+func (l *Lane32) forwardBN(op *lane32Op, batch int, in, out []float32) {
 	f := op.features
 	mean, vari := l.statMean[:f], l.statVar[:f]
 	for j := range mean {
@@ -542,17 +493,15 @@ func (l *Lane32) forwardBN(op *lane32Op, s, batch int, in, out []float32) {
 	for j := range vari {
 		vari[j] *= inv
 	}
-	std := op.std[s*f : (s+1)*f]
-	rm := op.runMean[s*f : (s+1)*f]
-	rv := op.runVar[s*f : (s+1)*f]
+	std, rm, rv := op.std, op.runMean, op.runVar
 	for j := 0; j < f; j++ {
 		std[j] = math.Sqrt(vari[j] + op.eps)
 		rm[j] = op.mom*rm[j] + (1-op.mom)*mean[j]
 		rv[j] = op.mom*rv[j] + (1-op.mom)*vari[j]
 	}
-	g := l.params[s][op.wOff : op.wOff+f]
-	bt := l.params[s][op.bOff : op.bOff+f]
-	xh := op.xhat[s*batch*f : (s+1)*batch*f]
+	g := l.params[op.wOff : op.wOff+f]
+	bt := l.params[op.bOff : op.bOff+f]
+	xh := op.xhat
 	for i := 0; i < batch; i++ {
 		for j := 0; j < f; j++ {
 			v := float32((float64(in[i*f+j]) - mean[j]) / std[j])
@@ -562,14 +511,14 @@ func (l *Lane32) forwardBN(op *lane32Op, s, batch int, in, out []float32) {
 	}
 }
 
-func (l *Lane32) backwardBN(op *lane32Op, s, batch int, gout, gin []float32) {
+func (l *Lane32) backwardBN(op *lane32Op, batch int, gout, gin []float32) {
 	f := op.features
 	n := float64(batch)
-	xh := op.xhat[s*batch*f : (s+1)*batch*f]
-	g := l.params[s][op.wOff : op.wOff+f]
-	gGrad := l.grads[s][op.wOff : op.wOff+f]
-	bGrad := l.grads[s][op.bOff : op.bOff+f]
-	std := op.std[s*f : (s+1)*f]
+	xh := op.xhat
+	g := l.params[op.wOff : op.wOff+f]
+	gGrad := l.grads[op.wOff : op.wOff+f]
+	bGrad := l.grads[op.bOff : op.bOff+f]
+	std := op.std
 	sd, sdx := l.sumDxh[:f], l.sumDxhX[:f]
 	for j := range sd {
 		sd[j], sdx[j] = 0, 0
@@ -598,7 +547,6 @@ func (l *Lane32) backwardBN(op *lane32Op, s, batch int, gout, gin []float32) {
 // SoftmaxCrossEntropyInto.
 //
 //machlint:noalias logits,grad
-//
 //machlint:allocfree
 func (l *Lane32) lossInto(logits []float32, labels []int, grad []float32, batch int) float64 {
 	classes := l.classes

@@ -26,31 +26,29 @@ func laneTestBatch(rng *rand.Rand, batch int, shape ...int) (*tensor.Tensor, []f
 func TestLane32TracksF64Trajectory(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	net := NewMLP("lane-mlp", 16, []int{16}, 10, rng)
-	lane, err := NewLane32(net, 1)
+	lane, err := NewLane32(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lane.LoadParams(0, net.ParamVector()); err != nil {
+	if err := lane.LoadParams(net.ParamVector()); err != nil {
 		t.Fatal(err)
 	}
 	opt := NewSGD(0.05)
-	losses := make([]float64, 1)
-	norms := make([]float64, 1)
 	batchRng := rand.New(rand.NewSource(12))
 	for step := 0; step < 30; step++ {
 		x, flat, labels := laneTestBatch(batchRng, 8, 16)
 		loss64, norm64 := net.TrainStep(x, labels, opt)
-		lane.SetInput(0, 8, flat)
-		lane.TrainStep(1, 8, [][]int{labels}, 0.05, losses, norms)
-		if math.Abs(losses[0]-loss64) > 1e-4*(1+math.Abs(loss64)) {
-			t.Fatalf("step %d: f32 loss %v vs f64 loss %v", step, losses[0], loss64)
+		lane.SetInput(8, flat)
+		loss32, norm32 := lane.TrainStep(8, labels, 0.05)
+		if math.Abs(loss32-loss64) > 1e-4*(1+math.Abs(loss64)) {
+			t.Fatalf("step %d: f32 loss %v vs f64 loss %v", step, loss32, loss64)
 		}
-		if math.Abs(norms[0]-norm64) > 1e-3*(1+norm64) {
-			t.Fatalf("step %d: f32 ‖g‖² %v vs f64 %v", step, norms[0], norm64)
+		if math.Abs(norm32-norm64) > 1e-3*(1+norm64) {
+			t.Fatalf("step %d: f32 ‖g‖² %v vs f64 %v", step, norm32, norm64)
 		}
 	}
 	p64 := net.ParamVector()
-	p32 := lane.ParamsInto(0, nil)
+	p32 := lane.ParamsInto(nil)
 	for i := range p64 {
 		if math.Abs(p32[i]-p64[i]) > 1e-3*(1+math.Abs(p64[i])) {
 			t.Fatalf("param %d diverged: f32 lane %v vs f64 %v", i, p32[i], p64[i])
@@ -75,27 +73,25 @@ func TestLane32TracksF64CNN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane, err := NewLane32(net, 1)
+	lane, err := NewLane32(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lane.LoadParams(0, net.ParamVector()); err != nil {
+	if err := lane.LoadParams(net.ParamVector()); err != nil {
 		t.Fatal(err)
 	}
 	opt := NewSGD(0.05)
-	losses, norms := make([]float64, 1), make([]float64, 1)
 	batchRng := rand.New(rand.NewSource(14))
 	for step := 0; step < 5; step++ {
 		x, flat, labels := laneTestBatch(batchRng, 4, 1, 8, 8)
 		loss64, _ := net.TrainStep(x, labels, opt)
-		lane.SetInput(0, 4, flat)
-		lane.TrainStep(1, 4, [][]int{labels}, 0.05, losses, norms)
-		if math.Abs(losses[0]-loss64) > 1e-4*(1+math.Abs(loss64)) {
-			t.Fatalf("step %d: f32 loss %v vs f64 loss %v", step, losses[0], loss64)
+		lane.SetInput(4, flat)
+		if loss32, _ := lane.TrainStep(4, labels, 0.05); math.Abs(loss32-loss64) > 1e-4*(1+math.Abs(loss64)) {
+			t.Fatalf("step %d: f32 loss %v vs f64 loss %v", step, loss32, loss64)
 		}
 	}
 	p64 := net.ParamVector()
-	p32 := lane.ParamsInto(0, nil)
+	p32 := lane.ParamsInto(nil)
 	for i := range p64 {
 		if math.Abs(p32[i]-p64[i]) > 1e-3*(1+math.Abs(p64[i])) {
 			t.Fatalf("param %d diverged: f32 lane %v vs f64 %v", i, p32[i], p64[i])
@@ -113,23 +109,21 @@ func TestLane32TracksF64BatchNorm(t *testing.T) {
 		NewReLU("r"),
 		NewDense("fc2", 6, 10, rng),
 	)
-	lane, err := NewLane32(net, 1)
+	lane, err := NewLane32(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lane.LoadParams(0, net.ParamVector()); err != nil {
+	if err := lane.LoadParams(net.ParamVector()); err != nil {
 		t.Fatal(err)
 	}
 	opt := NewSGD(0.05)
-	losses, norms := make([]float64, 1), make([]float64, 1)
 	batchRng := rand.New(rand.NewSource(16))
 	for step := 0; step < 10; step++ {
 		x, flat, labels := laneTestBatch(batchRng, 6, 12)
 		loss64, _ := net.TrainStep(x, labels, opt)
-		lane.SetInput(0, 6, flat)
-		lane.TrainStep(1, 6, [][]int{labels}, 0.05, losses, norms)
-		if math.Abs(losses[0]-loss64) > 1e-4*(1+math.Abs(loss64)) {
-			t.Fatalf("step %d: f32 loss %v vs f64 loss %v", step, losses[0], loss64)
+		lane.SetInput(6, flat)
+		if loss32, _ := lane.TrainStep(6, labels, 0.05); math.Abs(loss32-loss64) > 1e-4*(1+math.Abs(loss64)) {
+			t.Fatalf("step %d: f32 loss %v vs f64 loss %v", step, loss32, loss64)
 		}
 	}
 }
@@ -144,7 +138,7 @@ func TestLane32GradCheck(t *testing.T) {
 		NewReLU("r1"),
 		NewDense("fc2", 5, 3, rng),
 	)
-	lane, err := NewLane32(net, 1)
+	lane, err := NewLane32(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,18 +146,17 @@ func TestLane32GradCheck(t *testing.T) {
 	x, flat, _ := laneTestBatch(rng, 4, 6)
 	_ = x
 	labels := []int{0, 1, 2, 1}
-	losses, norms := make([]float64, 1), make([]float64, 1)
 	lossAt := func(params []float64) float64 {
-		if err := lane.LoadParams(0, params); err != nil {
+		if err := lane.LoadParams(params); err != nil {
 			t.Fatal(err)
 		}
-		lane.SetInput(0, 4, flat)
-		lane.TrainStep(1, 4, [][]int{labels}, 0, losses, norms) // lr=0: loss+grads only
-		return losses[0]
+		lane.SetInput(4, flat)
+		loss, _ := lane.TrainStep(4, labels, 0) // lr=0: loss+grads only
+		return loss
 	}
 	lossAt(v)
 	analytic := make([]float64, len(v))
-	for i, g := range lane.grads[0] {
+	for i, g := range lane.grads {
 		analytic[i] = float64(g)
 	}
 	const h = 1e-3
@@ -183,91 +176,24 @@ func TestLane32GradCheck(t *testing.T) {
 	}
 }
 
-// TestLane32FusedSlotsBitIdenticalToSolo is the f32 fusion contract: a
-// multi-slot fused step must produce bit-identical per-slot results to
-// independent single-slot lanes, regardless of which slot a device occupies.
-func TestLane32FusedSlotsBitIdenticalToSolo(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	net := NewMLP("lane-fused", 16, []int{16}, 10, rng)
-	const slots = 3
-	fused, err := NewLane32(net, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solos := make([]*Lane32, slots)
-	params := make([][]float64, slots)
-	inputs := make([][]float64, slots)
-	labels := make([][]int, slots)
-	for s := 0; s < slots; s++ {
-		solo, err := NewLane32(net, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		solos[s] = solo
-		perturbed := net.ParamVector()
-		for i := range perturbed {
-			perturbed[i] += 0.01 * rng.NormFloat64()
-		}
-		params[s] = perturbed
-		_, flat, lb := laneTestBatch(rng, 8, 16)
-		inputs[s], labels[s] = flat, lb
-	}
-	fLoss, fNorm := make([]float64, slots), make([]float64, slots)
-	sLoss, sNorm := make([]float64, 1), make([]float64, 1)
-	for step := 0; step < 3; step++ {
-		for s := 0; s < slots; s++ {
-			if err := fused.LoadParams(s, params[s]); err != nil {
-				t.Fatal(err)
-			}
-			fused.SetInput(s, 8, inputs[s])
-		}
-		fused.TrainStep(slots, 8, labels, 0.05, fLoss, fNorm)
-		for s := 0; s < slots; s++ {
-			if err := solos[s].LoadParams(0, params[s]); err != nil {
-				t.Fatal(err)
-			}
-			solos[s].SetInput(0, 8, inputs[s])
-			solos[s].TrainStep(1, 8, labels[s:s+1], 0.05, sLoss, sNorm)
-			if fLoss[s] != sLoss[0] || fNorm[s] != sNorm[0] {
-				t.Fatalf("step %d slot %d: fused (loss %v, norm %v) != solo (loss %v, norm %v)",
-					step, s, fLoss[s], fNorm[s], sLoss[0], sNorm[0])
-			}
-			fp := fused.ParamsInto(s, nil)
-			sp := solos[s].ParamsInto(0, nil)
-			for i := range fp {
-				if math.Float64bits(fp[i]) != math.Float64bits(sp[i]) {
-					t.Fatalf("step %d slot %d param %d: fused %v != solo %v", step, s, i, fp[i], sp[i])
-				}
-			}
-			params[s] = fp // continue both trajectories from the same point
-		}
-	}
-}
-
 // TestLane32SteadyStateZeroAllocs pins the lane-aware scratch contract: once
 // the pooled buffers exist, SetInput+TrainStep allocates nothing.
 func TestLane32SteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	net := NewMLP("lane-alloc", 16, []int{32, 16}, 10, rng)
-	lane, err := NewLane32(net, 2)
+	lane, err := NewLane32(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, flat, labelRow := laneTestBatch(rng, 8, 16)
-	labels := [][]int{labelRow, labelRow}
-	losses, norms := make([]float64, 2), make([]float64, 2)
-	v := net.ParamVector()
-	for s := 0; s < 2; s++ {
-		if err := lane.LoadParams(s, v); err != nil {
-			t.Fatal(err)
-		}
-		lane.SetInput(s, 8, flat)
+	_, flat, labels := laneTestBatch(rng, 8, 16)
+	if err := lane.LoadParams(net.ParamVector()); err != nil {
+		t.Fatal(err)
 	}
-	lane.TrainStep(2, 8, labels, 0.05, losses, norms) // warm-up installs buffers
+	lane.SetInput(8, flat)
+	lane.TrainStep(8, labels, 0.05) // warm-up installs buffers
 	allocs := testing.AllocsPerRun(20, func() {
-		lane.SetInput(0, 8, flat)
-		lane.SetInput(1, 8, flat)
-		lane.TrainStep(2, 8, labels, 0.05, losses, norms)
+		lane.SetInput(8, flat)
+		lane.TrainStep(8, labels, 0.05)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state f32 TrainStep allocates %v objects per call", allocs)
@@ -283,68 +209,7 @@ func TestLane32RejectsDropout(t *testing.T) {
 		NewDropout("d", 0.5, rng),
 		NewDense("out", 8, 4, rng),
 	)
-	if _, err := NewLane32(net, 1); err == nil {
+	if _, err := NewLane32(net); err == nil {
 		t.Fatal("NewLane32 accepted a Dropout layer")
-	}
-}
-
-// TestLockstepBitIdenticalToTrainStep is the f64 fusion contract: lockstep
-// execution across several networks must equal per-device TrainStep calls
-// bit-for-bit (losses, gradient norms, updated parameters).
-func TestLockstepBitIdenticalToTrainStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	const n = 3
-	fusedNets := make([]*Network, n)
-	soloNets := make([]*Network, n)
-	xs := make([]*tensor.Tensor, n)
-	labels := make([][]int, n)
-	fusedOpts := make([]Optimizer, n)
-	for d := 0; d < n; d++ {
-		net := NewMLP("lockstep", 16, []int{16}, 10, rand.New(rand.NewSource(int64(30+d))))
-		fusedNets[d] = net
-		soloNets[d] = net.Clone()
-		x, _, lb := laneTestBatch(rng, 8, 16)
-		xs[d], labels[d] = x, lb
-		fusedOpts[d] = NewSGD(0.05)
-	}
-	var ls Lockstep
-	losses, norms := make([]float64, n), make([]float64, n)
-	for step := 0; step < 3; step++ {
-		ls.Step(fusedNets, xs, labels, fusedOpts, losses, norms)
-		for d := 0; d < n; d++ {
-			soloLoss, soloNorm := soloNets[d].TrainStep(xs[d], labels[d], NewSGD(0.05))
-			if losses[d] != soloLoss || norms[d] != soloNorm {
-				t.Fatalf("step %d net %d: lockstep (loss %v, norm %v) != solo (loss %v, norm %v)",
-					step, d, losses[d], norms[d], soloLoss, soloNorm)
-			}
-			fp, sp := fusedNets[d].ParamVector(), soloNets[d].ParamVector()
-			for i := range fp {
-				if math.Float64bits(fp[i]) != math.Float64bits(sp[i]) {
-					t.Fatalf("step %d net %d param %d: lockstep %v != solo %v", step, d, i, fp[i], sp[i])
-				}
-			}
-		}
-	}
-}
-
-// TestLockstepSingleEqualsTrainStep: the one-device property — fusing a
-// single network is exactly the unfused step.
-func TestLockstepSingleEqualsTrainStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	fused := NewMLP("single", 16, []int{16}, 10, rng)
-	solo := fused.Clone()
-	x, _, labels := laneTestBatch(rng, 8, 16)
-	var ls Lockstep
-	losses, norms := make([]float64, 1), make([]float64, 1)
-	ls.Step([]*Network{fused}, []*tensor.Tensor{x}, [][]int{labels}, []Optimizer{NewSGD(0.05)}, losses, norms)
-	soloLoss, soloNorm := solo.TrainStep(x, labels, NewSGD(0.05))
-	if losses[0] != soloLoss || norms[0] != soloNorm {
-		t.Fatalf("lockstep (loss %v, norm %v) != TrainStep (loss %v, norm %v)", losses[0], norms[0], soloLoss, soloNorm)
-	}
-	fp, sp := fused.ParamVector(), solo.ParamVector()
-	for i := range fp {
-		if fp[i] != sp[i] {
-			t.Fatalf("param %d: lockstep %v != TrainStep %v", i, fp[i], sp[i])
-		}
 	}
 }

@@ -26,7 +26,6 @@ func fullBackwardStep(n *Network, x *tensor.Tensor, labels []int, opt Optimizer)
 // at the first weighted layer leaves the loss, the gradient norm and every
 // parameter bit-identical to the full pass, for a network whose first
 // weighted layer is a Dense (behind a Flatten), a Conv2D and a BatchNorm1D.
-// Lockstep takes the same skip, so it is held to the same twin.
 func TestTrainStepSkipMatchesFullBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cnn, err := NewCNN(MNISTCNNConfig(8, 8), rng)
@@ -48,27 +47,20 @@ func TestTrainStepSkipMatchesFullBackward(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			skip, full, fused := c.net, c.net.Clone(), c.net.Clone()
-			skipOpt, fullOpt, fusedOpt := NewSGD(0.05), NewSGD(0.05), NewSGD(0.05)
-			var ls Lockstep
-			losses, norms := make([]float64, 1), make([]float64, 1)
+			skip, full := c.net, c.net.Clone()
+			skipOpt, fullOpt := NewSGD(0.05), NewSGD(0.05)
 			for step := 0; step < 4; step++ {
 				x, _, labels := laneTestBatch(rng, 8, c.shape...)
 				skipLoss, skipNorm := skip.TrainStep(x, labels, skipOpt)
 				fullLoss, fullNorm := fullBackwardStep(full, x, labels, fullOpt)
-				ls.Step([]*Network{fused}, []*tensor.Tensor{x}, [][]int{labels}, []Optimizer{fusedOpt}, losses, norms)
 				if skipLoss != fullLoss || math.Float64bits(skipNorm) != math.Float64bits(fullNorm) {
 					t.Fatalf("step %d: TrainStep (loss %v, norm %v) != full backward (loss %v, norm %v)",
 						step, skipLoss, skipNorm, fullLoss, fullNorm)
 				}
-				if losses[0] != fullLoss || math.Float64bits(norms[0]) != math.Float64bits(fullNorm) {
-					t.Fatalf("step %d: Lockstep (loss %v, norm %v) != full backward (loss %v, norm %v)",
-						step, losses[0], norms[0], fullLoss, fullNorm)
-				}
-				sp, fp, lp := skip.ParamVector(), full.ParamVector(), fused.ParamVector()
+				sp, fp := skip.ParamVector(), full.ParamVector()
 				for i := range fp {
-					if math.Float64bits(sp[i]) != math.Float64bits(fp[i]) || math.Float64bits(lp[i]) != math.Float64bits(fp[i]) {
-						t.Fatalf("step %d param %d: TrainStep %v, Lockstep %v, full backward %v", step, i, sp[i], lp[i], fp[i])
+					if math.Float64bits(sp[i]) != math.Float64bits(fp[i]) {
+						t.Fatalf("step %d param %d: TrainStep %v, full backward %v", step, i, sp[i], fp[i])
 					}
 				}
 			}

@@ -35,8 +35,8 @@ go test -race -short -run 'TestRunBitIdenticalAcrossWorkerCounts|TestFinalParams
 echo "== go test -race -short (fed wire protocol + codec)"
 go test -race -short ./internal/fed/ ./internal/codec/
 
-echo "== go test -race -short (fused-path determinism, both lanes)"
-go test -race -short -run 'TestRunF32BitIdenticalAcrossWorkerCounts|TestRunFusedMatchesUnfused' ./internal/hfl
+echo "== go test -race -short (execution-chunk determinism, both lanes)"
+go test -race -short -run 'TestRunF32BitIdenticalAcrossWorkerCounts|TestRunChunkedBitIdenticalAcrossWorkerCounts' ./internal/hfl
 
 echo "== go test -race -short (sharded control plane, Shards=3 smoke)"
 go test -race -short -run 'TestRunBitIdenticalAcrossShardCounts|TestShardedMatchesSeedEngineGolden' ./internal/hfl
@@ -48,7 +48,7 @@ go test -count=1 -run 'TestMarkovSourceMatchesMaterializedTwin|TestGeoSourcesMat
 echo "== go test -race (sharded engine on a streaming source)"
 go test -race -count=1 -run 'TestRunStreamingMatchesDenseBitIdentical' ./internal/hfl
 
-echo "== f32-lane + fusion smoke (seeded run, accuracy within tolerance of f64)"
+echo "== f32-lane smoke (seeded run, accuracy within tolerance of f64)"
 go test -count=1 -run 'TestRunF32TracksF64' ./internal/hfl
 
 echo "== scale bench smoke (-exp scale -quick, naive/indexed divergence check)"
